@@ -24,36 +24,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <chrono>
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/scenario.h"
 #include "core/theory.h"
 #include "util/rng.h"
 
 namespace pqs::bench {
 namespace {
-
-double now_seconds() {
-    using Clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(Clock::now().time_since_epoch())
-        .count();
-}
-
-std::string fmt_double(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-std::string fmt_u64(std::uint64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 struct MaskingPoint {
     std::size_t b = 0;
@@ -306,14 +287,9 @@ int main(int argc, char** argv) {
     }
     json += "    ]\n  }\n}\n";
 
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     out_path.c_str());
+    if (!write_file(out_path, json)) {
         return 1;
     }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;
 }

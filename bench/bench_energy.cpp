@@ -29,36 +29,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <chrono>
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/scenario.h"
 #include "core/theory.h"
 #include "util/rng.h"
 
 namespace pqs::bench {
 namespace {
-
-double now_seconds() {
-    using Clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(Clock::now().time_since_epoch())
-        .count();
-}
-
-std::string fmt_double(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-std::string fmt_u64(std::uint64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 struct McPoint {
     double duty = 1.0;
@@ -240,9 +221,12 @@ int main(int argc, char** argv) {
             r.advertise_quorum, r.lookup_quorum, n_e2e, duty);
         e2e.push_back(pt);
         std::printf("  e2e d=%.2f: hit=%.3f 1-bound=%.3f J/lookup=%.4g "
-                    "sleeps=%.0f deferred=%.0f\n",
+                    "sleeps=%llu deferred=%llu\n",
                     duty, r.hit_ratio, 1.0 - pt.bound, r.joules_per_lookup,
-                    r.energy_sleep_transitions, r.refreshes_deferred);
+                    static_cast<unsigned long long>(
+                        r.kernel.energy_sleep_transitions),
+                    static_cast<unsigned long long>(
+                        r.kernel.refreshes_deferred));
         check(r.aborted == 0.0, "scenario aborted");
         check(r.energy_consumed_j > 0.0, "battery meters stayed empty");
         check(r.joules_per_lookup > 0.0, "joules-per-lookup stayed zero");
@@ -250,10 +234,10 @@ int main(int argc, char** argv) {
               "measured availability diverged from the closed-form bound "
               "by more than the documented routing slack");
         if (duty < 1.0) {
-            check(r.energy_sleep_transitions > 0.0,
+            check(r.kernel.energy_sleep_transitions > 0,
                   "duty < 1 produced no sleep transitions");
         } else {
-            check(r.energy_sleep_transitions == 0.0,
+            check(r.kernel.energy_sleep_transitions == 0,
                   "duty = 1 slept anyway");
         }
     }
@@ -271,11 +255,12 @@ int main(int argc, char** argv) {
     pl.world.energy.battery_j = pl.world.energy.p_idle_w * 18.0;
     pl.op_timeout = 5 * sim::kSecond;
     const core::ScenarioResult lifetime = core::run_scenario(pl);
-    std::printf("  lifetime: depletions=%.0f t_half=%.2fs t_part=%.2fs\n",
-                lifetime.energy_depletions,
+    std::printf("  lifetime: depletions=%llu t_half=%.2fs t_part=%.2fs\n",
+                static_cast<unsigned long long>(
+                    lifetime.kernel.energy_depletions),
                 lifetime.time_to_half_depletion_s,
                 lifetime.time_to_first_partition_s);
-    check(lifetime.energy_depletions > 0.0, "no battery ever depleted");
+    check(lifetime.kernel.energy_depletions > 0, "no battery ever depleted");
     check(lifetime.time_to_half_depletion_s > 0.0,
           "network never reached 50% depletion");
     check(lifetime.time_to_first_partition_s != 0.0,
@@ -292,10 +277,11 @@ int main(int argc, char** argv) {
     const core::ScenarioResult leased = core::run_scenario(pt_lease);
     const core::ScenarioResult eternal =
         core::run_scenario(e2e_params(n_e2e, lookups));
-    std::printf("  lease 3s: hit=%.3f (eternal %.3f) expirations=%.0f\n",
+    std::printf("  lease 3s: hit=%.3f (eternal %.3f) expirations=%llu\n",
                 leased.hit_ratio, eternal.hit_ratio,
-                leased.lease_expirations);
-    check(leased.lease_expirations > 0.0, "no lease ever expired");
+                static_cast<unsigned long long>(
+                    leased.kernel.lease_expirations));
+    check(leased.kernel.lease_expirations > 0, "no lease ever expired");
     check(leased.hit_ratio < eternal.hit_ratio,
           "expiring every value cost no availability (leases inert?)");
     const double e2e_wall = now_seconds() - t1;
@@ -348,15 +334,16 @@ int main(int argc, char** argv) {
                 ", \"energy_consumed_j\": " +
                 fmt_double(r.energy_consumed_j) +
                 ", \"sleep_transitions\": " +
-                fmt_double(r.energy_sleep_transitions) +
+                fmt_u64(r.kernel.energy_sleep_transitions) +
                 ", \"refreshes_deferred\": " +
-                fmt_double(r.refreshes_deferred) + "}" +
+                fmt_u64(r.kernel.refreshes_deferred) + "}" +
                 (i + 1 < e2e.size() ? "," : "") + "\n";
     }
     json += "    ],\n";
     json += "    \"lifetime\": {\"battery_j\": " +
             fmt_double(pl.world.energy.battery_j) +
-            ", \"depletions\": " + fmt_double(lifetime.energy_depletions) +
+            ", \"depletions\": " +
+            fmt_u64(lifetime.kernel.energy_depletions) +
             ", \"time_to_half_depletion_s\": " +
             fmt_double(lifetime.time_to_half_depletion_s) +
             ", \"time_to_first_partition_s\": " +
@@ -366,20 +353,15 @@ int main(int argc, char** argv) {
             fmt_double(lifetime.joules_per_lookup) + "},\n";
     json += "    \"lease\": {\"value_lease_s\": 3" +
             std::string(", \"lease_expirations\": ") +
-            fmt_double(leased.lease_expirations) +
+            fmt_u64(leased.kernel.lease_expirations) +
             ", \"availability\": " + fmt_double(leased.hit_ratio) +
             ", \"availability_no_lease\": " +
             fmt_double(eternal.hit_ratio) + "}\n";
     json += "  }\n}\n";
 
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     out_path.c_str());
+    if (!write_file(out_path, json)) {
         return 1;
     }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;
 }

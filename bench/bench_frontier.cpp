@@ -25,36 +25,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/quorum_optimizer.h"
 #include "membership/oracle_membership.h"
 #include "svc/workload_driver.h"
 
 namespace pqs::bench {
 namespace {
-
-double now_seconds() {
-    using Clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(Clock::now().time_since_epoch())
-        .count();
-}
-
-std::string fmt_double(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-std::string fmt_u64(std::uint64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 std::string candidate_json(const core::CandidateConfig& c) {
     return "{\"kind\": \"" + core::strategy_name(c.kind) + "\"" +
@@ -75,7 +56,6 @@ struct MeasuredConfig {
     bool cache = false;
     svc::KvWorkloadReport report;
     double msgs_per_op = 0.0;
-    double tx_total = 0.0;
 };
 
 struct MeasuredMixParams {
@@ -131,7 +111,7 @@ MeasuredConfig run_measured(const MeasuredMixParams& mp,
         }
     }
 
-    const double tx_before = world.metrics().counter("net.data.tx");
+    const std::uint64_t tx_before = world.kernel_stats().data_tx;
     svc::KvWorkloadParams dp;
     dp.key_count = mp.key_count;
     dp.zipf_theta = 0.99;
@@ -142,10 +122,11 @@ MeasuredConfig run_measured(const MeasuredMixParams& mp,
     dp.seed = mp.seed ^ 0x5eedULL;
     svc::KvWorkloadDriver driver(kv, dp);
     out.report = driver.run();
-    out.tx_total = world.metrics().counter("net.data.tx") - tx_before;
+    const std::uint64_t tx = world.kernel_stats().data_tx - tx_before;
     out.msgs_per_op =
         out.report.issued > 0
-            ? out.tx_total / static_cast<double>(out.report.issued)
+            ? static_cast<double>(tx) /
+                  static_cast<double>(out.report.issued)
             : 0.0;
     return out;
 }
@@ -385,14 +366,9 @@ int main(int argc, char** argv) {
     }
     json += "    ]\n  }\n}\n";
 
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     out_path.c_str());
+    if (!write_file(out_path, json)) {
         return 1;
     }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;
 }

@@ -20,13 +20,13 @@
 //   --smoke  shrunk workloads for the ctest / scripts/check.sh gate
 //   --out    output JSON path (default BENCH_kernel.json in the cwd)
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/scenario.h"
 #include "geom/spatial_grid.h"
 #include "legacy_event_queue.h"
@@ -37,12 +37,6 @@
 
 namespace pqs::bench {
 namespace {
-
-double now_seconds() {
-    using Clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(Clock::now().time_since_epoch())
-        .count();
-}
 
 // ---------------------------------------------------------------------
 // JSON emission (hand-rolled; the schema is flat enough not to need more)
@@ -71,19 +65,6 @@ struct JsonWriter {
     }
 };
 
-std::string fmt_double(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-std::string fmt_u64(std::uint64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
 // One bench record: name/impl, deterministic counters, wall measurements.
 struct BenchRecord {
     std::string name;
@@ -91,7 +72,7 @@ struct BenchRecord {
     std::uint64_t work_items = 0;  // fired events / grid ops / sim events
     double wall_seconds = 0.0;
     double items_per_second = 0.0;
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    CounterList counters;
 
     std::string to_json() const {
         std::string j = "    {\n";
@@ -101,30 +82,12 @@ struct BenchRecord {
         j += "      \"wall_seconds\": " + fmt_double(wall_seconds) + ",\n";
         j += "      \"items_per_second\": " + fmt_double(items_per_second);
         if (!counters.empty()) {
-            j += ",\n      \"counters\": {";
-            bool first = true;
-            for (const auto& [key, value] : counters) {
-                j += std::string(first ? "" : ", ") + "\"" + key +
-                     "\": " + fmt_u64(value);
-                first = false;
-            }
-            j += "}";
+            j += ",\n      \"counters\": " + counters_json(counters);
         }
         j += "\n    }";
         return j;
     }
 };
-
-std::vector<std::pair<std::string, std::uint64_t>> counter_list(
-    const util::KernelStats& stats) {
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    std::size_t count = 0;
-    const util::KernelStatsField* fields = util::kernel_stats_fields(&count);
-    for (std::size_t i = 0; i < count; ++i) {
-        out.emplace_back(fields[i].name, fields[i].get(stats));
-    }
-    return out;
-}
 
 // ---------------------------------------------------------------------
 // 1. event_churn — steady-state schedule/pop/cancel mix
@@ -471,9 +434,9 @@ int main(int argc, char** argv) {
         BenchRecord rec;
         rec.name = "e2e_unique_path_n200";
         rec.impl = "full_stack";
-        rec.work_items = static_cast<std::uint64_t>(r.sim_events);
+        rec.work_items = r.kernel.events_fired;
         rec.wall_seconds = wall;
-        rec.items_per_second = r.sim_events / wall;
+        rec.items_per_second = static_cast<double>(rec.work_items) / wall;
         rec.counters = counter_list(r.kernel);
         rec.counters.emplace_back(
             "hits_x1000",
@@ -506,15 +469,9 @@ int main(int argc, char** argv) {
     json.raw_field("derived",
                    "{\"event_churn_speedup\": " + fmt_double(speedup) + "}");
 
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     out_path.c_str());
+    if (!write_file(out_path, json.finish())) {
         return 1;
     }
-    const std::string text = json.finish();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
     std::printf("wrote %s (event_churn_speedup=%.2fx)\n", out_path.c_str(),
                 speedup);
     return 0;

@@ -23,10 +23,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <chrono>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "net/node_stack.h"
 #include "net/world.h"
 #include "util/kernel_stats.h"
@@ -35,25 +35,6 @@
 
 namespace pqs::bench {
 namespace {
-
-double now_seconds() {
-    using Clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(Clock::now().time_since_epoch())
-        .count();
-}
-
-std::string fmt_double(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-std::string fmt_u64(std::uint64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 struct ScaleConfig {
     std::size_t n = 100'000;
@@ -217,12 +198,12 @@ int main(int argc, char** argv) {
 
     world.simulator().run_until(cfg.warmup);
     const std::uint64_t events_at_warmup =
-        world.simulator().events_processed();
+        world.simulator().kernel_stats().events_fired;
     const double t1 = now_seconds();
     world.simulator().run_until(cfg.warmup + cfg.window);
     const double run_wall = now_seconds() - t1;
     const std::uint64_t events_fired =
-        world.simulator().events_processed() - events_at_warmup;
+        world.simulator().kernel_stats().events_fired - events_at_warmup;
 
     const util::KernelStats stats = world.kernel_stats();
     const std::uint64_t peak_rss = util::peak_rss_bytes();
@@ -296,26 +277,12 @@ int main(int argc, char** argv) {
     json += "  \"crashes\": " + fmt_u64(churn.crashes()) + ",\n";
     json += "  \"revives\": " + fmt_u64(churn.revives()) + ",\n";
     json += "  \"app_sends\": " + fmt_u64(app.sends()) + ",\n";
-    json += "  \"counters\": {";
-    {
-        std::size_t count = 0;
-        const util::KernelStatsField* fields =
-            util::kernel_stats_fields(&count);
-        for (std::size_t i = 0; i < count; ++i) {
-            json += std::string(i == 0 ? "" : ", ") + "\"" +
-                    fields[i].name + "\": " + fmt_u64(fields[i].get(stats));
-        }
-    }
-    json += "}\n}\n";
+    json += "  \"counters\": " + counters_json(counter_list(stats)) +
+            "\n}\n";
 
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     out_path.c_str());
+    if (!write_file(out_path, json)) {
         return 1;
     }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;
 }

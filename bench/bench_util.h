@@ -1,19 +1,26 @@
-// Shared utilities for the figure-reproduction benches: environment-driven
-// scaling (PQS_SCALE=smoke|default|paper) and table printing. At the
-// default scale every bench finishes in seconds-to-a-minute on a laptop;
-// PQS_SCALE=paper runs the paper's full 800-node / 100-advertise /
-// 1000-lookup / multi-run configuration.
+// Shared utilities for the benches: environment-driven scaling
+// (PQS_SCALE=smoke|default|paper) and table printing for the
+// figure-reproduction benches, and the JSON helpers of the benches that
+// write a BENCH_*.json file. At the default scale every figure bench
+// finishes in seconds-to-a-minute on a laptop; PQS_SCALE=paper runs the
+// paper's full 800-node / 100-advertise / 1000-lookup / multi-run
+// configuration.
 #pragma once
 
+#include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.h"
 #include "exp/experiment_runner.h"
 #include "util/csv.h"
+#include "util/kernel_stats.h"
 
 namespace pqs::bench {
 
@@ -139,6 +146,70 @@ inline exp::ExperimentRunner runner(std::uint64_t run_seed) {
     opts.runs_per_point = runs();
     opts.run_seed = run_seed;
     return exp::ExperimentRunner(opts);
+}
+
+// ---- BENCH_*.json emission (bench_kernel, bench_scale, bench_byzantine,
+// bench_frontier, bench_energy) ----
+
+// Host wall clock, for the informational wall_seconds fields only.
+inline double now_seconds() {
+    using Clock = std::chrono::steady_clock;
+    return std::chrono::duration<double>(Clock::now().time_since_epoch())
+        .count();
+}
+
+inline std::string fmt_double(double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.9g", v);
+    return buf;
+}
+
+inline std::string fmt_u64(std::uint64_t v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%llu",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+using CounterList = std::vector<std::pair<std::string, std::uint64_t>>;
+
+// Every field of the counter registry as (name, value), in declaration
+// order.
+inline CounterList counter_list(const util::KernelStats& stats) {
+    CounterList out;
+    std::size_t count = 0;
+    const util::KernelStatsField* fields = util::kernel_stats_fields(&count);
+    for (std::size_t i = 0; i < count; ++i) {
+        out.emplace_back(fields[i].name, fields[i].get(stats));
+    }
+    return out;
+}
+
+// {"name": value, ...} on one line.
+inline std::string counters_json(const CounterList& counters) {
+    std::string j = "{";
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+        j += std::string(i == 0 ? "" : ", ") + "\"" + counters[i].first +
+             "\": " + fmt_u64(counters[i].second);
+    }
+    return j + "}";
+}
+
+// Writes `text` to `path`; on failure says why on stderr and returns
+// false, and the bench exits non-zero.
+inline bool write_file(const std::string& path, const std::string& text) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+        std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+        return false;
+    }
+    const bool written =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    if (std::fclose(f) != 0 || !written) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return false;
+    }
+    return true;
 }
 
 }  // namespace pqs::bench

@@ -75,10 +75,11 @@ int main(int argc, char** argv) {
     while (!found && world.simulator().step()) {
     }
 
-    std::printf("total network-layer messages: data=%.0f routing=%.0f "
-                "hello=%.0f\n",
-                world.metrics().counter("net.data.tx"),
-                world.metrics().counter("net.routing.tx"),
-                world.metrics().counter("net.hello.tx"));
+    const util::KernelStats stats = world.kernel_stats();
+    std::printf("total network-layer messages: data=%llu routing=%llu "
+                "hello=%llu\n",
+                static_cast<unsigned long long>(stats.data_tx),
+                static_cast<unsigned long long>(stats.routing_tx),
+                static_cast<unsigned long long>(stats.hello_tx));
     return 0;
 }

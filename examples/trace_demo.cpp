@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
     params.live.join_fraction_per_sec = smoke ? 0.005 : 0.01;
     params.live.recover_probability = 0.5;
     params.live.op_max_attempts = 3;
-    params.live.op_retry_backoff = 500 * sim::kMillisecond;
 
     const core::ScenarioResult result = core::run_scenario(params);
 

@@ -68,7 +68,7 @@ struct ServiceContext {
 
     explicit ServiceContext(net::World& w)
         : world(w), leases(w.simulator(), &stores) {
-        leases.set_expire_counter(&w.app_stats().lease_expirations);
+        leases.set_expire_counter(&w.counters().lease_expirations);
     }
 
     LocalStore& store(util::NodeId id) {
@@ -96,7 +96,7 @@ struct ServiceContext {
 
     void count_load(util::NodeId id) {
         load.count_touch(id);
-        ++world.app_stats().quorum_loads_counted;
+        ++world.counters().quorum_loads_counted;
     }
 };
 

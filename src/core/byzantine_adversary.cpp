@@ -43,7 +43,7 @@ bool ByzantineAdversary::tamper_value(sim::ByzantineBehavior behavior,
     switch (behavior) {
         case sim::ByzantineBehavior::kDropReply:
             ++counters.replies_dropped;
-            ++world_.app_stats().byzantine_tampers;
+            ++world_.counters().byzantine_tampers;
             return false;
         case sim::ByzantineBehavior::kLieStale: {
             const auto it = first_seen_.find(key);
@@ -51,13 +51,13 @@ bool ByzantineAdversary::tamper_value(sim::ByzantineBehavior behavior,
                 return true;  // nothing staler to tell yet
             }
             ++counters.replies_stale;
-            ++world_.app_stats().byzantine_tampers;
+            ++world_.counters().byzantine_tampers;
             value = it->second;
             return true;
         }
         case sim::ByzantineBehavior::kLieFabricate:
             ++counters.replies_fabricated;
-            ++world_.app_stats().byzantine_tampers;
+            ++world_.counters().byzantine_tampers;
             value = fabricate(key);
             return true;
         case sim::ByzantineBehavior::kReplay: {
@@ -76,7 +76,7 @@ bool ByzantineAdversary::tamper_value(sim::ByzantineBehavior behavior,
                 return true;  // the replay happens to be current
             }
             ++counters.replies_replayed;
-            ++world_.app_stats().byzantine_tampers;
+            ++world_.counters().byzantine_tampers;
             value = replayed;
             return true;
         }
@@ -131,7 +131,7 @@ bool ByzantineAdversary::on_lookup_miss(util::NodeId at, std::uint64_t key,
             break;
         }
     }
-    ++world_.app_stats().byzantine_tampers;
+    ++world_.counters().byzantine_tampers;
     ++miss_lies_in_flight_[key];  // consumed by the send that follows
     return true;
 }
@@ -175,7 +175,7 @@ net::TamperVerdict ByzantineAdversary::on_send(util::NodeId at,
         // than b votes and break the masking-budget accounting.
         if (behavior == sim::ByzantineBehavior::kDropReply) {
             ++plan_.counters().replies_dropped;
-            ++world_.app_stats().byzantine_tampers;
+            ++world_.counters().byzantine_tampers;
             obs::record(msg->trace, obs::EventKind::kFaultyReplySuppressed,
                         at, static_cast<std::uint64_t>(behavior));
             return net::TamperVerdict::kDrop;

@@ -95,7 +95,7 @@ void QuorumRefresher::tick(util::NodeId node) {
     // the point: asleep is not crashed.
     if (service_.world().alive(node) && !service_.world().awake(node)) {
         ++deferred_;
-        ++service_.world().app_stats().refreshes_deferred;
+        ++service_.world().counters().refreshes_deferred;
         const sim::Time retry =
             std::max<sim::Time>(interval_ / 10, sim::kMillisecond);
         timers_[node] =

@@ -15,16 +15,6 @@ namespace pqs::core {
 
 namespace {
 
-struct PhaseCounters {
-    double data = 0.0;
-    double routing = 0.0;
-};
-
-PhaseCounters snapshot(net::World& world) {
-    return PhaseCounters{world.metrics().counter("net.data.tx"),
-                         world.metrics().counter("net.routing.tx")};
-}
-
 // Continuation state for run_sequential. Shared-owned by the driver and by
 // every event the driver schedules: a straggler continuation firing after
 // run_sequential returned (deadline, abort) finds the state — including
@@ -65,25 +55,6 @@ std::optional<util::NodeId> random_alive(net::World& world, util::Rng& rng) {
         return std::nullopt;
     }
     return alive.select(rng.index(alive.count()));
-}
-
-// Self-rescheduling helper for the live phase's periodic jobs. The chain
-// owns its state (same shared-ownership discipline as SeqState); the body
-// returns false to stop the chain.
-struct Periodic {
-    net::World& world;
-    const sim::Time period;
-    std::function<bool()> body;
-};
-
-void periodic_fire(const std::shared_ptr<Periodic>& task) {
-    if (!task->body()) {
-        return;
-    }
-    // pqs-lint: fire-and-forget(chain owns Periodic by shared_ptr and stops
-    // itself when body() returns false; no external owner to cancel from)
-    task->world.simulator().schedule_in(task->period,
-                                        [task] { periodic_fire(task); });
 }
 
 }  // namespace
@@ -127,17 +98,13 @@ ScenarioResult run_scenario(const ScenarioParams& params) {
                                                       trace_opts.capacity);
     }
     const obs::ScopedTraceSink scoped_sink(trace_sink.get());
-    std::unique_ptr<membership::OracleMembership> membership;
-    if (params.use_membership) {
-        membership::OracleMembershipParams mp;
-        mp.view_size = params.membership_view;
-        membership =
-            std::make_unique<membership::OracleMembership>(world, mp);
-    }
-    LocationService service(world, params.spec, membership.get());
+    membership::OracleMembershipParams mp;
+    mp.view_size = params.membership_view;
+    membership::OracleMembership membership(world, mp);
+    LocationService service(world, params.spec, &membership);
     service.biquorum().context().op_timeout = params.op_timeout;
-    service.biquorum().context().retry = RetryPolicy{
-        params.op_max_attempts, params.op_retry_backoff, 2.0};
+    service.biquorum().context().retry =
+        RetryPolicy{.max_attempts = params.op_max_attempts};
     service.biquorum().context().value_lease = params.value_lease;
 
     // Byzantine adversary: nothing below exists at b == 0 (no allocations,
@@ -169,7 +136,7 @@ ScenarioResult run_scenario(const ScenarioParams& params) {
     bool aborted = false;
 
     // ---- advertise phase ----
-    const PhaseCounters before_adv = snapshot(world);
+    const util::KernelStats before_adv = world.kernel_stats();
     std::vector<util::Key> keys;
     keys.reserve(params.advertise_count);
     std::vector<util::NodeId> advertisers;
@@ -202,7 +169,7 @@ ScenarioResult run_scenario(const ScenarioParams& params) {
         &aborted);
     // Drain stragglers so their messages stay in the advertise phase.
     world.simulator().run_until(world.simulator().now() + 2 * sim::kSecond);
-    const PhaseCounters after_adv = snapshot(world);
+    const util::KernelStats after_adv = world.kernel_stats();
 
     // ---- churn between phases (Fig. 14(f); superseded by live mode) ----
     const LiveChurnParams& live = params.live;
@@ -254,7 +221,6 @@ ScenarioResult run_scenario(const ScenarioParams& params) {
     // or allocations).
     std::unique_ptr<sim::FaultPlan> plan;
     std::unique_ptr<QuorumRefresher> refresher;
-    std::shared_ptr<NetworkSizeEstimator> estimator;
     std::vector<LiveSample> samples;
     std::vector<double> sample_alive_sum;
     std::vector<double> sample_quorum_sum;
@@ -264,9 +230,9 @@ ScenarioResult run_scenario(const ScenarioParams& params) {
         live_active = true;
         live_start = world.simulator().now();
         service.biquorum().context().retry =
-            RetryPolicy{live.op_max_attempts, live.op_retry_backoff, 2.0};
+            RetryPolicy{.max_attempts = live.op_max_attempts};
         world.link().set_fault_injection(
-            net::LinkFaults{live.link_drop, live.link_duplicate});
+            net::LinkFaults{.drop = live.link_drop});
 
         sim::FaultPlanParams fp;
         fp.crash_fraction_per_sec = live.crash_fraction_per_sec;
@@ -296,9 +262,6 @@ ScenarioResult run_scenario(const ScenarioParams& params) {
             QuorumRefresher::Params rp;
             rp.eps_max = live.refresh_eps_max;
             rp.churn_kind = ChurnKind::kFailuresAndJoins;
-            rp.sizing = live.resize_lookup_from_estimate
-                            ? LookupSizing::kAdjustedToNetworkSize
-                            : LookupSizing::kFixed;
             rp.churn_fraction_per_sec =
                 live.crash_fraction_per_sec + live.join_fraction_per_sec;
             rp.explicit_interval = live.refresh_interval;
@@ -307,47 +270,9 @@ ScenarioResult run_scenario(const ScenarioParams& params) {
                 refresher->start_node(node);
             }
         }
-
-        if (live.resize_lookup_from_estimate && membership != nullptr) {
-            estimator = std::make_shared<NetworkSizeEstimator>(*membership,
-                                                               rng.fork());
-            const std::size_t qa = result.advertise_quorum;
-            const double eps = params.spec.eps;
-            auto task = std::make_shared<Periodic>(Periodic{
-                world, live.estimate_period,
-                [&world, &service, &live_active, &rng, estimator, qa, eps,
-                 probes_wanted = live.estimate_probes] {
-                    if (!live_active) {
-                        return false;
-                    }
-                    const util::AliveSet& alive = world.alive_set();
-                    if (alive.count() == 0) {
-                        return true;
-                    }
-                    std::vector<util::NodeId> probes;
-                    const std::size_t k =
-                        std::min(probes_wanted, alive.count());
-                    for (const std::size_t idx :
-                         rng.sample_without_replacement(alive.count(), k)) {
-                        probes.push_back(alive.select(idx));
-                    }
-                    if (const auto est =
-                            estimator->estimate_across(probes, 2)) {
-                        const auto n_est = static_cast<std::size_t>(
-                            std::max<long>(1, std::lround(*est)));
-                        service.biquorum().lookup_strategy().set_quorum_size(
-                            lookup_size_for(qa, n_est, eps));
-                    }
-                    return true;
-                }});
-            // pqs-lint: fire-and-forget(kicks off a shared_ptr-owned
-            // periodic_fire chain; see the chain's own annotation)
-            world.simulator().schedule_in(live.estimate_period,
-                                          [task] { periodic_fire(task); });
-        }
     }
 
-    const PhaseCounters before_lkp = snapshot(world);
+    const util::KernelStats before_lkp = world.kernel_stats();
     const double energy_before_lkp =
         world.energy() != nullptr ? world.energy()->consumed_j() : 0.0;
     std::size_t hits = 0;
@@ -461,7 +386,7 @@ ScenarioResult run_scenario(const ScenarioParams& params) {
         }
         result.live_samples = std::move(samples);
     }
-    const PhaseCounters after_lkp = snapshot(world);
+    const util::KernelStats after_lkp = world.kernel_stats();
 
     // ---- aggregate ----
     const double n_adv =
@@ -477,12 +402,16 @@ ScenarioResult run_scenario(const ScenarioParams& params) {
     result.timeout_rate = static_cast<double>(lkp_timeouts) / n_lkp;
     result.advertise_ok_ratio = static_cast<double>(adv_ok) / n_adv;
     result.avg_advertise_nodes = adv_nodes.empty() ? 0.0 : adv_nodes.mean();
-    result.msgs_per_advertise = (after_adv.data - before_adv.data) / n_adv;
+    result.msgs_per_advertise =
+        static_cast<double>(after_adv.data_tx - before_adv.data_tx) / n_adv;
     result.routing_per_advertise =
-        (after_adv.routing - before_adv.routing) / n_adv;
-    result.msgs_per_lookup = (after_lkp.data - before_lkp.data) / n_lkp;
+        static_cast<double>(after_adv.routing_tx - before_adv.routing_tx) /
+        n_adv;
+    result.msgs_per_lookup =
+        static_cast<double>(after_lkp.data_tx - before_lkp.data_tx) / n_lkp;
     result.routing_per_lookup =
-        (after_lkp.routing - before_lkp.routing) / n_lkp;
+        static_cast<double>(after_lkp.routing_tx - before_lkp.routing_tx) /
+        n_lkp;
     result.aborted = aborted ? 1.0 : 0.0;
     result.load = summarize_load(service.biquorum().context());
     result.inconclusive_rate = static_cast<double>(inconclusives) / n_lkp;
@@ -491,17 +420,7 @@ ScenarioResult run_scenario(const ScenarioParams& params) {
         result.byzantine_tampered =
             static_cast<double>(byz_plan->counters().tampered());
     }
-    result.sim_events =
-        static_cast<double>(world.simulator().events_processed());
     result.kernel = world.kernel_stats();
-    result.energy_sleep_transitions =
-        static_cast<double>(result.kernel.energy_sleep_transitions);
-    result.energy_depletions =
-        static_cast<double>(result.kernel.energy_depletions);
-    result.lease_expirations =
-        static_cast<double>(result.kernel.lease_expirations);
-    result.refreshes_deferred =
-        static_cast<double>(result.kernel.refreshes_deferred);
     if (world.energy() != nullptr) {
         result.energy_consumed_j = world.energy()->consumed_j();
         result.joules_per_lookup =
@@ -513,7 +432,6 @@ ScenarioResult run_scenario(const ScenarioParams& params) {
     }
     result.arena_high_water =
         static_cast<double>(world.arena_high_water());
-    result.totals = world.metrics();
     if (trace_sink != nullptr && !trace_opts.out_base.empty()) {
         const std::string path =
             obs::trace_output_path(trace_opts.out_base, params.world.seed);
@@ -555,13 +473,8 @@ namespace {
     X(live_refreshes)             \
     X(energy_consumed_j)          \
     X(joules_per_lookup)          \
-    X(energy_depletions)          \
-    X(energy_sleep_transitions)   \
     X(time_to_first_partition_s)  \
     X(time_to_half_depletion_s)   \
-    X(lease_expirations)          \
-    X(refreshes_deferred)         \
-    X(sim_events)                 \
     X(arena_high_water)
 
 // Same pattern for the per-bucket fields of LiveSample.
@@ -597,14 +510,12 @@ ScenarioAggregate aggregate_scenarios(
     // Copy non-metric context (n, quorum sizes) from the first run, then
     // merge raw counters across runs in index order.
     agg.mean = results.front();
-    agg.mean.totals.clear();
     agg.mean.kernel = util::KernelStats{};
     agg.mean.latency_hist = obs::LatencyHistogram{};
     agg.stddev.n = agg.mean.n;
     agg.stddev.advertise_quorum = agg.mean.advertise_quorum;
     agg.stddev.lookup_quorum = agg.mean.lookup_quorum;
     for (const ScenarioResult& one : results) {
-        agg.mean.totals.merge(one.totals);
         agg.mean.kernel += one.kernel;
         agg.mean.latency_hist.merge(one.latency_hist);
     }

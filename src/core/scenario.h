@@ -36,9 +36,8 @@ struct LiveChurnParams {
     double recover_probability = 0.0;
     sim::Time recover_delay_mean = 30 * sim::kSecond;
 
-    // Link-level fault injection active during the live phase only.
+    // Link-level drop probability, active during the live phase only.
     double link_drop = 0.0;
-    double link_duplicate = 0.0;
 
     // Quorum refresh (§6.1 "with refresh" curve): every advertise origin
     // re-advertises at the interval derived from refresh_eps_max and the
@@ -47,16 +46,9 @@ struct LiveChurnParams {
     double refresh_eps_max = 0.2;
     std::optional<sim::Time> refresh_interval;
 
-    // Periodically re-estimate n(t) via the birthday paradox (§6.3) and
-    // resize the lookup quorum to match (§6.1 case (b)). Requires
-    // use_membership.
-    bool resize_lookup_from_estimate = false;
-    sim::Time estimate_period = 10 * sim::kSecond;
-    std::size_t estimate_probes = 16;
-
-    // Operation-level retry for accesses issued during the live phase.
+    // Operation-level retry for accesses issued during the live phase,
+    // with RetryPolicy's backoff (500 ms, doubling per attempt).
     int op_max_attempts = 1;
-    sim::Time op_retry_backoff = 500 * sim::kMillisecond;
 
     // Width of the time buckets the measured intersection probability is
     // reported in (ScenarioResult::live_samples).
@@ -77,8 +69,8 @@ struct LiveSample {
 struct ScenarioParams {
     net::WorldParams world;
     BiquorumSpec spec;
-    bool use_membership = true;  // attach an oracle membership service
-    // Membership view size; 0 keeps the paper's default of 2*sqrt(n).
+    // Oracle membership view size; 0 keeps the paper's default of
+    // 2*sqrt(n).
     std::size_t membership_view = 0;
 
     std::size_t advertise_count = 100;  // paper: 100
@@ -88,11 +80,11 @@ struct ScenarioParams {
     sim::Time op_spacing = 200 * sim::kMillisecond;
     sim::Time op_timeout = 20 * sim::kSecond;
     // Operation-level retry for the classic two-phase run (a vote-
-    // inconclusive lookup attempt retries like any failed one). The live
+    // inconclusive lookup attempt retries like any failed one), with
+    // RetryPolicy's backoff (500 ms, doubling per attempt). The live
     // phase keeps its own live.op_max_attempts. 1 = single attempt, the
     // historical behavior.
     int op_max_attempts = 1;
-    sim::Time op_retry_backoff = 500 * sim::kMillisecond;
 
     // Look up keys that were never advertised (measures the cost of a
     // miss: the full quorum is paid, no early halting — Fig. 16).
@@ -170,26 +162,16 @@ struct ScenarioResult {
     double live_recoveries = 0.0;
     double live_refreshes = 0.0;
 
-    // Energy / duty-cycle accounting (all zero when world.energy is off).
+    // Energy / duty-cycle accounting (all zero when world.energy is off;
+    // sleep transitions and battery depletions are counted in `kernel`).
     double energy_consumed_j = 0.0;  // joules drawn over the run, all nodes
     double joules_per_lookup = 0.0;  // lookup-phase draw / lookup count
-    double energy_depletions = 0.0;  // batteries that ran dry (nodes died)
-    double energy_sleep_transitions = 0.0;
     // Network lifetime marks; -1.0 = never reached during the run.
     double time_to_first_partition_s = 0.0;
     double time_to_half_depletion_s = 0.0;
-    // Timed-quorum accounting (zero when value_lease == 0).
-    double lease_expirations = 0.0;   // stored values evicted by lease
-    double refreshes_deferred = 0.0;  // refresher ticks that found the
-                                      // owner asleep and rescheduled
 
     // Time-bucketed live-phase outcomes (empty unless live.enabled).
     std::vector<LiveSample> live_samples;
-
-    // Simulator events processed by the run (deterministic for a seed);
-    // stored as double so it participates in the generic aggregation and
-    // stays exact up to 2^53 events.
-    double sim_events = 0.0;
 
     // Bytes of node-lifetime state placed in the world's bump arena
     // (high-water mark). Deterministic for a seed — the layout-level
@@ -197,17 +179,16 @@ struct ScenarioResult {
     // exp::report_perf prints next to it.
     double arena_high_water = 0.0;
 
-    // Kernel counters (event queue + spatial grid) at the end of the run;
-    // deterministic for a seed. Aggregation sums these across runs (like
-    // `totals`, they are raw counts, not per-run means).
+    // The world's counter registry at the end of the run (events, grid,
+    // packet pool, transmissions by category, energy, leases, ...);
+    // deterministic for a seed. Aggregation sums these across runs: they
+    // are raw counts, not per-run means.
     util::KernelStats kernel;
 
     // Log-bucketed latencies of successful lookups (p50/p95/p99 via
     // quantile()). Always populated — it costs one array increment per
     // lookup — and merged across runs like `kernel`.
     obs::LatencyHistogram latency_hist;
-
-    util::MetricSet totals;  // raw world counters at the end
 };
 
 // One scalar metric of a ScenarioResult, addressable generically so
@@ -225,7 +206,7 @@ const std::vector<ScenarioMetric>& scenario_metrics();
 // Multi-run summary: per-metric mean and sample standard deviation (the
 // paper plots 10-run means with error bars on every figure point).
 struct ScenarioAggregate {
-    ScenarioResult mean;    // also carries n/quorum sizes and merged totals
+    ScenarioResult mean;    // also carries n/quorum sizes and summed kernel
     ScenarioResult stddev;  // sample stddev per metric; zero when runs < 2
     int runs = 0;
 };

@@ -64,8 +64,8 @@ RunReport ExperimentRunner::run(
             summary.wall_seconds += record.wall_seconds;
         }
         summary.stats = core::aggregate_scenarios(reps);
-        const double events = summary.stats.mean.sim_events *
-                              static_cast<double>(runs);
+        const auto events =
+            static_cast<double>(summary.stats.mean.kernel.events_fired);
         report.total_events += events;
         summary.events_per_second =
             summary.wall_seconds > 0.0 ? events / summary.wall_seconds : 0.0;
@@ -100,7 +100,8 @@ void report_perf(const RunReport& report, const char* label,
                      "wall=%.3fs events=%.0f\n",
                      trial.point, trial.rep,
                      static_cast<unsigned long long>(trial.seed),
-                     trial.wall_seconds, trial.result.sim_events);
+                     trial.wall_seconds,
+                     static_cast<double>(trial.result.kernel.events_fired));
     }
     // Kernel counter block merged over every trial: deterministic for the
     // run seed, so two runs of the same experiment must print identical

@@ -116,7 +116,7 @@ void RawmsMembership::forward(util::NodeId at,
     const util::NodeId next_hop = neighbors[slot];
     auto next = std::make_shared<WalkMsg>(*msg);
     next->remaining = msg->remaining - 1;
-    world_.metrics().count("membership.msgs");
+    ++world_.counters().membership_msgs;
     stack.send_unicast(
         next_hop, next, [this, at, msg, salvage_left](bool ok) {
             if (ok || salvage_left <= 0) {
@@ -190,7 +190,7 @@ std::size_t RawmsMembership::view_size(util::NodeId node) const {
 }
 
 double RawmsMembership::protocol_messages() const {
-    return world_.metrics().counter("membership.msgs");
+    return static_cast<double>(world_.counters().membership_msgs);
 }
 
 }  // namespace pqs::membership

@@ -30,13 +30,13 @@ void AbstractLink::release_ids(IdList ids) {
 
 // pqs-hot: per-message fan-out; every quorum access funnels through here.
 void AbstractLink::unicast(PacketPtr p, LinkTxCallback done) {
-    world_.metrics().count("net." + packet_category(*p) + ".tx");
     const util::NodeId from = p->link_src;
     const util::NodeId to = p->link_dst;
     const sim::Time delay = hop_delay();
     // An asleep sender's radio is off: its pending timers may still call
-    // unicast, but nothing goes on the air (and nothing is charged).
+    // unicast, but nothing goes on the air (nothing is counted or charged).
     if (world_.awake(from)) {
+        world_.count_tx(*p);
         world_.charge_tx_bytes(from, p->size_bytes());
     }
 
@@ -105,11 +105,11 @@ void AbstractLink::unicast(PacketPtr p, LinkTxCallback done) {
 // pqs-hot: hello heartbeats and RREQ floods all land here — at n=100k
 // this is the single busiest function in the abstract stack.
 void AbstractLink::broadcast(PacketPtr p) {
-    world_.metrics().count("net." + packet_category(*p) + ".tx");
     const util::NodeId from = p->link_src;
     if (!world_.awake(from)) {
         return;
     }
+    world_.count_tx(*p);
     world_.charge_tx_bytes(from, p->size_bytes());
     const sim::Time delay = hop_delay();
     // Snapshot receivers at send time (into a recycled buffer); they must

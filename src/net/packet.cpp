@@ -17,11 +17,21 @@ struct SizeVisitor {
 };
 
 struct CategoryVisitor {
-    std::string operator()(const HelloBody&) const { return "hello"; }
-    std::string operator()(const RreqBody&) const { return "routing"; }
-    std::string operator()(const RrepBody&) const { return "routing"; }
-    std::string operator()(const RerrBody&) const { return "routing"; }
-    std::string operator()(const DataBody&) const { return "data"; }
+    PacketCategory operator()(const HelloBody&) const {
+        return PacketCategory::kHello;
+    }
+    PacketCategory operator()(const RreqBody&) const {
+        return PacketCategory::kRouting;
+    }
+    PacketCategory operator()(const RrepBody&) const {
+        return PacketCategory::kRouting;
+    }
+    PacketCategory operator()(const RerrBody&) const {
+        return PacketCategory::kRouting;
+    }
+    PacketCategory operator()(const DataBody&) const {
+        return PacketCategory::kData;
+    }
 };
 
 }  // namespace
@@ -32,7 +42,7 @@ std::size_t Packet::size_bytes() const {
     return std::visit(SizeVisitor{}, body) + 48;
 }
 
-std::string packet_category(const Packet& packet) {
+PacketCategory packet_category(const Packet& packet) {
     return std::visit(CategoryVisitor{}, packet.body);
 }
 

@@ -5,9 +5,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <variant>
 #include <vector>
 
@@ -102,8 +102,11 @@ struct Packet {
 
 using PacketPtr = std::shared_ptr<const Packet>;
 
-// Metric category for message accounting: "hello", "routing" or "data".
-std::string packet_category(const Packet& packet);
+// Message-accounting category; each one has its own KernelStats
+// transmission counter (hello_tx, routing_tx, data_tx).
+enum class PacketCategory : std::uint8_t { kHello, kRouting, kData };
+
+PacketCategory packet_category(const Packet& packet);
 
 // Pooled allocation: the Packet and its control block come from one
 // recycled BlockPool block (World::packet_pool()). The pool must outlive

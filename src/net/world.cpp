@@ -34,7 +34,7 @@ private:
             }
             return;
         }
-        world_.metrics().count("net." + packet_category(*p) + ".tx");
+        world_.count_tx(*p);
         phy::Frame frame;
         frame.dst = p->link_dst == kBroadcast ? phy::kBroadcastId
                                               : p->link_dst;
@@ -488,6 +488,33 @@ void World::overhear(util::NodeId listener, PacketPtr p) {
         return;
     }
     stacks_[listener]->on_overhear(p);
+}
+
+void World::count_tx(const Packet& p) {
+    switch (packet_category(p)) {
+        case PacketCategory::kHello:
+            ++counters_.hello_tx;
+            break;
+        case PacketCategory::kRouting:
+            ++counters_.routing_tx;
+            break;
+        case PacketCategory::kData:
+            ++counters_.data_tx;
+            break;
+    }
+}
+
+double TxCounterView::counter(std::string_view name) const {
+    if (name == "net.hello.tx") {
+        return static_cast<double>(stats.hello_tx);
+    }
+    if (name == "net.routing.tx") {
+        return static_cast<double>(stats.routing_tx);
+    }
+    if (name == "net.data.tx") {
+        return static_cast<double>(stats.data_tx);
+    }
+    return 0.0;
 }
 
 std::shared_ptr<Packet> World::new_packet() {

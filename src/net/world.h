@@ -1,9 +1,10 @@
 // Composition root of a simulated ad hoc network: node placement (RGG
 // density scaling per §2.4), liveness/churn, mobility, the link layer at
-// the chosen fidelity, per-node protocol stacks, and run-wide metrics.
+// the chosen fidelity, per-node protocol stacks, and the counter registry.
 #pragma once
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "geom/rgg.h"
@@ -20,9 +21,9 @@
 #include "sim/simulator.h"
 #include "util/alive_set.h"
 #include "util/arena.h"
+#include "util/kernel_stats.h"
 #include "util/pool.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace pqs::net {
 
@@ -63,6 +64,16 @@ struct WorldParams {
     AodvParams aodv;
 };
 
+// Read-only, string-keyed copy of World's transmission counters (see
+// World::metrics()).
+struct TxCounterView {
+    util::KernelStats stats;
+
+    // "net.hello.tx", "net.routing.tx" or "net.data.tx" as a double; any
+    // other name reads 0.0.
+    double counter(std::string_view name) const;
+};
+
 class World final : public phy::PositionProvider,
                     public mobility::MobilityHost {
 public:
@@ -74,11 +85,10 @@ public:
     const WorldParams& params() const { return params_; }
     sim::Simulator& simulator() override { return simulator_; }
     util::Rng& rng() { return rng_; }
-    util::MetricSet& metrics() { return metrics_; }
 
-    // Merged kernel counters (event queue + spatial grid + packet pool +
-    // snapshot accounting); deterministic for a fixed seed, reported per
-    // trial on the [perf] stderr channel.
+    // The counter registry: event queue + spatial grid + packet pool +
+    // snapshot accounting + energy model + counters(). Deterministic for a
+    // fixed seed, reported per trial on the [perf] stderr channel.
     util::KernelStats kernel_stats() const {
         util::KernelStats stats = simulator_.kernel_stats();
         stats += grid_->stats();
@@ -86,7 +96,7 @@ public:
             packet_pool_.fresh_allocs() + packet_pool_.misfit_allocs();
         stats.packet_pool_reuses = packet_pool_.reuses();
         stats.alive_snapshots = alive_snapshots_;
-        stats += app_stats_;
+        stats += counters_;
         if (energy_) {
             stats.energy_sleep_transitions = energy_->sleep_transitions();
             stats.energy_depletions = energy_->depletions();
@@ -94,9 +104,21 @@ public:
         return stats;
     }
 
-    // Application-layer counters (load accounting, Byzantine tampers)
-    // merged into kernel_stats(); deterministic like the kernel block.
-    util::KernelStats& app_stats() { return app_stats_; }
+    // The registry fields bumped outside the kernel: transmissions by
+    // packet category, membership walk hops, load accounting, Byzantine
+    // tampers, lease expirations and deferred refreshes. Merged into
+    // kernel_stats().
+    util::KernelStats& counters() { return counters_; }
+
+    // Counts one transmission of `p` in its category's tx field. Both link
+    // layers call it where the sender's radio transmits, so a send
+    // suppressed at an asleep or dead sender is never counted.
+    void count_tx(const Packet& p);
+
+    // The transmission counters under their historical string names. The
+    // only caller outside tests is perfbench/driver.cpp, frozen with the
+    // repository benchmark; all other code reads kernel_stats().
+    TxCounterView metrics() const { return TxCounterView{counters_}; }
 
     // Byzantine reply tampering (see net/tamper.h). Null by default: the
     // send paths check one pointer and move on, so an adversary-free run
@@ -242,7 +264,6 @@ private:
     util::BlockPool packet_pool_;
     sim::Simulator simulator_;
     util::Rng rng_;
-    util::MetricSet metrics_;
     double side_;
 
     // SoA node state, indexed by NodeId.
@@ -271,7 +292,7 @@ private:
     std::vector<mac::CsmaMac*> macs_;
 
     mutable std::uint64_t alive_snapshots_ = 0;
-    util::KernelStats app_stats_;
+    util::KernelStats counters_;
     ReplyTamper* tamper_ = nullptr;
 
     // Battery/duty-cycle model; constructed (and a child RNG forked) only

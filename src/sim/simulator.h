@@ -13,7 +13,6 @@ namespace pqs::sim {
 class Simulator {
 public:
     Time now() const { return now_; }
-    std::uint64_t events_processed() const { return processed_; }
     std::size_t pending_events() const { return queue_.size(); }
 
     // Kernel counters of the underlying event queue (scheduled / fired /
@@ -41,7 +40,6 @@ public:
 private:
     EventQueue queue_;
     Time now_ = 0;
-    std::uint64_t processed_ = 0;
 };
 
 }  // namespace pqs::sim

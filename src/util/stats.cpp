@@ -126,36 +126,4 @@ double Histogram::quantile(double p) const {
     return hi_;
 }
 
-void MetricSet::count(const std::string& name, double delta) {
-    counters_[name] += delta;
-}
-
-void MetricSet::sample(const std::string& name, double value) {
-    samples_[name].add(value);
-}
-
-double MetricSet::counter(const std::string& name) const {
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? 0.0 : it->second;
-}
-
-const Accumulator* MetricSet::find(const std::string& name) const {
-    const auto it = samples_.find(name);
-    return it == samples_.end() ? nullptr : &it->second;
-}
-
-void MetricSet::merge(const MetricSet& other) {
-    for (const auto& [name, value] : other.counters_) {
-        counters_[name] += value;
-    }
-    for (const auto& [name, acc] : other.samples_) {
-        samples_[name].merge(acc);
-    }
-}
-
-void MetricSet::clear() {
-    counters_.clear();
-    samples_.clear();
-}
-
 }  // namespace pqs::util

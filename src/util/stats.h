@@ -4,8 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace pqs::util {
@@ -58,27 +56,6 @@ private:
     double width_;
     std::vector<std::size_t> counts_;
     std::size_t total_ = 0;
-};
-
-// Named metric registry: a scenario run records counters and samples here,
-// benches aggregate across runs.
-class MetricSet {
-public:
-    void count(const std::string& name, double delta = 1.0);
-    void sample(const std::string& name, double value);
-
-    double counter(const std::string& name) const;  // 0 if absent
-    const Accumulator* find(const std::string& name) const;
-    const std::map<std::string, double>& counters() const { return counters_; }
-    const std::map<std::string, Accumulator>& samples() const {
-        return samples_;
-    }
-    void merge(const MetricSet& other);
-    void clear();
-
-private:
-    std::map<std::string, double> counters_;
-    std::map<std::string, Accumulator> samples_;
 };
 
 }  // namespace pqs::util

@@ -52,7 +52,7 @@ TEST(Aodv, DiscoversRouteAndDelivers) {
     EXPECT_TRUE(delivered);
     EXPECT_EQ(received, 1);
     EXPECT_TRUE(w.stack(0).aodv().has_valid_route(dst));
-    EXPECT_GT(w.metrics().counter("net.routing.tx"), 0.0);
+    EXPECT_GT(w.kernel_stats().routing_tx, 0u);
 }
 
 TEST(Aodv, RouteReuseAvoidsRediscovery) {
@@ -63,7 +63,7 @@ TEST(Aodv, RouteReuseAvoidsRediscovery) {
     w.stack(0).send_routed(dst, std::make_shared<Ping>(),
                            [&](bool ok) { delivered += ok; });
     w.simulator().run_until(30 * sim::kSecond);
-    const double routing_after_first = w.metrics().counter("net.routing.tx");
+    const std::uint64_t routing_after_first = w.kernel_stats().routing_tx;
     for (int i = 0; i < 5; ++i) {
         w.stack(0).send_routed(dst, std::make_shared<Ping>(),
                                [&](bool ok) { delivered += ok; });
@@ -71,8 +71,7 @@ TEST(Aodv, RouteReuseAvoidsRediscovery) {
     w.simulator().run_until(60 * sim::kSecond);
     EXPECT_EQ(delivered, 6);
     // Reuse: no further route discovery traffic.
-    EXPECT_DOUBLE_EQ(w.metrics().counter("net.routing.tx"),
-                     routing_after_first);
+    EXPECT_EQ(w.kernel_stats().routing_tx, routing_after_first);
 }
 
 TEST(Aodv, LoopbackDeliversLocally) {
@@ -89,7 +88,7 @@ TEST(Aodv, LoopbackDeliversLocally) {
                            [&](bool d) { ok = d; });
     EXPECT_TRUE(ok);
     EXPECT_EQ(received, 1);
-    EXPECT_DOUBLE_EQ(w.metrics().counter("net.data.tx"), 0.0);
+    EXPECT_EQ(w.kernel_stats().data_tx, 0u);
 }
 
 TEST(Aodv, ScopedDiscoveryFailsForFarTarget) {

@@ -11,6 +11,8 @@
 
 #include <cmath>
 
+#include "scenario_test_util.h"
+
 namespace pqs::core {
 namespace {
 
@@ -85,9 +87,7 @@ TEST(ByzantineFuzz, RerunIsBitIdentical) {
     // makes the fuzz seeds above regression tests rather than noise.
     const ScenarioResult a = run_scenario(fuzz_params(3));
     const ScenarioResult b = run_scenario(fuzz_params(3));
-    for (const ScenarioMetric& m : scenario_metrics()) {
-        EXPECT_EQ(m.get(a), m.get(b)) << m.name;
-    }
+    expect_bit_identical(a, b);
 }
 
 TEST(ByzantineFuzz, TotalCorruptionDegradesConclusively) {

@@ -68,13 +68,12 @@ TEST_F(FloodFixture, CoverageMatchesBfsWithinTtl) {
 
 TEST_F(FloodFixture, EachNodeBroadcastsAtMostOncePerFlood) {
     build(100, 2);
-    const double before = world->metrics().counter("net.data.tx");
+    const std::uint64_t before = world->kernel_stats().data_tx;
     const AccessResult r = lookup(7, 9999);
-    const double broadcasts =
-        world->metrics().counter("net.data.tx") - before;
+    const std::uint64_t broadcasts = world->kernel_stats().data_tx - before;
     // Non-leaf covered nodes rebroadcast once; leaves (last ring) do not.
-    EXPECT_LE(broadcasts, static_cast<double>(r.nodes_contacted));
-    EXPECT_GT(broadcasts, 0.0);
+    EXPECT_LE(broadcasts, r.nodes_contacted);
+    EXPECT_GT(broadcasts, 0u);
 }
 
 TEST_F(FloodFixture, MultipleHoldersSendMultipleReplies) {
@@ -82,15 +81,15 @@ TEST_F(FloodFixture, MultipleHoldersSendMultipleReplies) {
         spec.advertise.quorum_size = 40;  // many holders within TTL
     });
     advertise(3, 5, 50);
-    const double before = world->metrics().counter("net.data.tx");
+    const std::uint64_t before = world->kernel_stats().data_tx;
     const AccessResult r = lookup(50, 5);
     EXPECT_TRUE(r.ok);
     // No early halting (§4.4): flood expands fully and several holders
     // reply, costing more than a single-reply scheme would.
     world->simulator().run_until(world->simulator().now() +
                                  5 * sim::kSecond);
-    const double msgs = world->metrics().counter("net.data.tx") - before;
-    EXPECT_GT(msgs, static_cast<double>(r.nodes_contacted));
+    const std::uint64_t msgs = world->kernel_stats().data_tx - before;
+    EXPECT_GT(msgs, r.nodes_contacted);
 }
 
 TEST_F(FloodFixture, ReplySurvivesWhenOneParentDies) {

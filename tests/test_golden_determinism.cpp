@@ -17,12 +17,12 @@
 
 #include "core/scenario.h"
 #include "obs/trace.h"
+#include "scenario_test_util.h"
 
 namespace pqs::core {
 namespace {
 
 struct Fingerprint {
-    std::uint64_t sim_events = 0;
     std::uint64_t events_scheduled = 0;
     std::uint64_t events_fired = 0;
     std::uint64_t events_cancelled = 0;
@@ -37,8 +37,7 @@ struct Fingerprint {
     std::uint64_t msgs_total = 0;  // world total transmissions, exact
 
     bool operator==(const Fingerprint& o) const {
-        return sim_events == o.sim_events &&
-               events_scheduled == o.events_scheduled &&
+        return events_scheduled == o.events_scheduled &&
                events_fired == o.events_fired &&
                events_cancelled == o.events_cancelled &&
                callback_heap_allocs == o.callback_heap_allocs &&
@@ -55,7 +54,6 @@ struct Fingerprint {
 // fingerprint change is a one-block paste (plus the PR-body rationale).
 std::ostream& operator<<(std::ostream& os, const Fingerprint& f) {
     return os << "{\n"
-              << "    .sim_events = " << f.sim_events << ",\n"
               << "    .events_scheduled = " << f.events_scheduled << ",\n"
               << "    .events_fired = " << f.events_fired << ",\n"
               << "    .events_cancelled = " << f.events_cancelled << ",\n"
@@ -102,7 +100,6 @@ std::uint64_t to_count(double integral_valued) {
 Fingerprint fingerprint_of(const ScenarioResult& r,
                            const ScenarioParams& p) {
     Fingerprint f;
-    f.sim_events = to_count(r.sim_events);
     f.events_scheduled = r.kernel.events_scheduled;
     f.events_fired = r.kernel.events_fired;
     f.events_cancelled = r.kernel.events_cancelled;
@@ -115,8 +112,7 @@ Fingerprint fingerprint_of(const ScenarioResult& r,
     f.hits = to_count(r.hit_ratio * static_cast<double>(p.lookup_count));
     f.intersects =
         to_count(r.intersect_ratio * static_cast<double>(p.lookup_count));
-    f.msgs_total = to_count(r.totals.counter("net.data.tx") +
-                            r.totals.counter("net.routing.tx"));
+    f.msgs_total = r.kernel.data_tx + r.kernel.routing_tx;
     return f;
 }
 
@@ -125,7 +121,6 @@ Fingerprint fingerprint_of(const ScenarioResult& r,
 // floating-point comparisons — so they are stable across optimization
 // levels and sanitizer builds of the same code.
 const Fingerprint kGolden = {
-    .sim_events = 12796,
     .events_scheduled = 13081,
     .events_fired = 12796,
     .events_cancelled = 157,
@@ -185,7 +180,6 @@ TEST(GoldenDeterminism, HotPathsAllocationFree) {
 // bit-identical to ticked ones (arrivals stop being quantized to the
 // 500 ms tick), so the mode carries its own golden fingerprint.
 const Fingerprint kGoldenLazy = {
-    .sim_events = 9920,
     .events_scheduled = 10264,
     .events_fired = 9920,
     .events_cancelled = 157,
@@ -245,7 +239,6 @@ ScenarioParams adversarial_params() {
 }
 
 const Fingerprint kGoldenByzantine = {
-    .sim_events = 47692,
     .events_scheduled = 48528,
     .events_fired = 47692,
     .events_cancelled = 708,
@@ -279,9 +272,7 @@ TEST(GoldenDeterminism, ByzantineRepeatRunBitIdentical) {
     const ScenarioResult a = run_scenario(p);
     const ScenarioResult b = run_scenario(p);
     EXPECT_TRUE(fingerprint_of(a, p) == fingerprint_of(b, p));
-    for (const ScenarioMetric& m : scenario_metrics()) {
-        EXPECT_EQ(m.get(a), m.get(b)) << m.name;
-    }
+    expect_bit_identical(a, b);
 }
 
 TEST(GoldenDeterminism, RepeatRunBitIdentical) {

@@ -195,6 +195,40 @@ TEST(AbstractLink, FaultInjectionDuplicateDeliversTwice) {
     EXPECT_EQ(delivered, 2 * sends);
 }
 
+// A send from an asleep node never goes on the air, so neither link layer
+// counts it; awake again, each send counts once.
+TEST(LinkCounters, AsleepSenderIsNotCounted) {
+    for (const Fidelity fidelity : {Fidelity::kAbstract, Fidelity::kFull}) {
+        SCOPED_TRACE(fidelity == Fidelity::kAbstract ? "abstract" : "full");
+        WorldParams p;
+        p.n = 40;
+        p.seed = 8;
+        p.oracle_neighbors = true;
+        p.fidelity = fidelity;
+        World w(p);  // not started: no heartbeats
+        const auto neighbors = w.physical_neighbors(0);
+        ASSERT_FALSE(neighbors.empty());
+        const auto sent = [&w] {
+            const util::KernelStats k = w.kernel_stats();
+            return k.hello_tx + k.routing_tx + k.data_tx;
+        };
+
+        w.sleep_node(0);
+        w.stack(0).send_unicast(neighbors[0], std::make_shared<Ping>(),
+                                nullptr);
+        w.stack(0).send_broadcast(std::make_shared<Ping>());
+        w.simulator().run_until(sim::kSecond);
+        EXPECT_EQ(sent(), 0u);
+
+        ASSERT_TRUE(w.wake_node(0));
+        w.stack(0).send_unicast(neighbors[0], std::make_shared<Ping>(),
+                                nullptr);
+        EXPECT_EQ(sent(), 1u);
+        w.stack(0).send_broadcast(std::make_shared<Ping>());
+        EXPECT_EQ(sent(), 2u);
+    }
+}
+
 // Hidden terminal on the full MAC: A and C are out of carrier-sense range
 // of each other but both reach B. Concurrent bursts collide at B, yet the
 // ack/retry machinery eventually delivers everything.

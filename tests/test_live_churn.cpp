@@ -7,6 +7,7 @@
 
 #include "core/scenario.h"
 #include "exp/experiment_runner.h"
+#include "scenario_test_util.h"
 
 namespace pqs::core {
 namespace {
@@ -56,9 +57,7 @@ TEST(LiveChurn, EngineRunsAndSamples) {
 TEST(LiveChurn, GoldenFingerprintBitIdentical) {
     const ScenarioResult a = run_scenario(live_params(80, 22));
     const ScenarioResult b = run_scenario(live_params(80, 22));
-    for (const ScenarioMetric& metric : scenario_metrics()) {
-        EXPECT_EQ(metric.get(a), metric.get(b)) << metric.name;
-    }
+    expect_bit_identical(a, b);
     ASSERT_EQ(a.live_samples.size(), b.live_samples.size());
     for (std::size_t i = 0; i < a.live_samples.size(); ++i) {
         EXPECT_EQ(a.live_samples[i].lookups, b.live_samples[i].lookups);
@@ -81,11 +80,8 @@ TEST(LiveChurn, IdenticalAcrossThreadCounts) {
     opts.threads = 4;
     const exp::RunReport parallel = exp::ExperimentRunner(opts).run(1, make);
 
-    for (const ScenarioMetric& metric : scenario_metrics()) {
-        EXPECT_EQ(metric.get(serial.points[0].stats.mean),
-                  metric.get(parallel.points[0].stats.mean))
-            << "mean." << metric.name;
-    }
+    expect_bit_identical(serial.points[0].stats.mean,
+                         parallel.points[0].stats.mean, "mean.");
     const auto& s_mean = serial.points[0].stats.mean.live_samples;
     const auto& p_mean = parallel.points[0].stats.mean.live_samples;
     ASSERT_EQ(s_mean.size(), p_mean.size());

@@ -4,6 +4,7 @@
 
 #include "core/location_service.h"
 #include "membership/oracle_membership.h"
+#include "util/stats.h"
 
 namespace pqs::core {
 namespace {

@@ -11,7 +11,7 @@ TEST(Packet, HelloBuilder) {
     EXPECT_EQ(p->link_dst, kBroadcast);
     EXPECT_EQ(p->ttl, 1);
     EXPECT_TRUE(std::holds_alternative<HelloBody>(p->body));
-    EXPECT_EQ(packet_category(*p), "hello");
+    EXPECT_EQ(packet_category(*p), PacketCategory::kHello);
 }
 
 TEST(Packet, DataBuilder) {
@@ -28,7 +28,7 @@ TEST(Packet, DataBuilder) {
     EXPECT_EQ(p->data().net_src, 1u);
     EXPECT_EQ(p->data().net_dst, 9u);
     EXPECT_EQ(p->data().tracker, tracker);
-    EXPECT_EQ(packet_category(*p), "data");
+    EXPECT_EQ(packet_category(*p), PacketCategory::kData);
     // App payload size plus framing overhead.
     EXPECT_EQ(p->size_bytes(), 100u + 48u);
 }
@@ -42,11 +42,11 @@ TEST(Packet, DefaultAppMessageSize) {
 TEST(Packet, RoutingCategories) {
     Packet p;
     p.body = RreqBody{};
-    EXPECT_EQ(packet_category(p), "routing");
+    EXPECT_EQ(packet_category(p), PacketCategory::kRouting);
     p.body = RrepBody{};
-    EXPECT_EQ(packet_category(p), "routing");
+    EXPECT_EQ(packet_category(p), PacketCategory::kRouting);
     p.body = RerrBody{};
-    EXPECT_EQ(packet_category(p), "routing");
+    EXPECT_EQ(packet_category(p), PacketCategory::kRouting);
 }
 
 TEST(Packet, RerrSizeGrowsWithEntries) {

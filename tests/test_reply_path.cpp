@@ -100,7 +100,7 @@ TEST_F(ReplyFixture, PathReductionShortcutsNeighborOrigin) {
     const auto neigh = world->physical_neighbors(0);
     ASSERT_GE(neigh.size(), 2u);
     std::vector<util::NodeId> fwd{0, neigh[0], neigh[1]};
-    const double before = world->metrics().counter("net.data.tx");
+    const std::uint64_t before = world->kernel_stats().data_tx;
     ReplyOptions opts;
     opts.path_reduction = true;
     auto tracker = std::make_shared<ReplyTracker>();
@@ -109,7 +109,7 @@ TEST_F(ReplyFixture, PathReductionShortcutsNeighborOrigin) {
     world->simulator().run_until(10 * sim::kSecond);
     ASSERT_EQ(delivered.size(), 1u);
     // One hop (neigh[1] -> 0) instead of two.
-    EXPECT_DOUBLE_EQ(world->metrics().counter("net.data.tx") - before, 1.0);
+    EXPECT_EQ(world->kernel_stats().data_tx - before, 1u);
 }
 
 TEST_F(ReplyFixture, WithoutReductionTakesFullPath) {
@@ -135,14 +135,14 @@ TEST_F(ReplyFixture, WithoutReductionTakesFullPath) {
         << "no triangle around node 0 at this density (d_avg=10: "
            "essentially impossible)";
     std::vector<util::NodeId> fwd{0, a, b};
-    const double before = world->metrics().counter("net.data.tx");
+    const std::uint64_t before = world->kernel_stats().data_tx;
     ReplyOptions opts;
     opts.path_reduction = false;
     router->start_reply(b, 1, util::AccessId{0, 3}, 1, 2, fwd, opts,
                         std::make_shared<ReplyTracker>());
     world->simulator().run_until(10 * sim::kSecond);
     ASSERT_EQ(delivered.size(), 1u);
-    EXPECT_DOUBLE_EQ(world->metrics().counter("net.data.tx") - before, 2.0);
+    EXPECT_EQ(world->kernel_stats().data_tx - before, 2u);
 }
 
 TEST_F(ReplyFixture, LocalRepairSkipsDeadHop) {

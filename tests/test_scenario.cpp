@@ -161,7 +161,7 @@ TEST(Scenario, AveragedRunsAggregate) {
     // The paper's error bars: stddev is populated and finite.
     EXPECT_GE(agg.stddev.hit_ratio, 0.0);
     EXPECT_LE(agg.stddev.hit_ratio, 1.0);
-    EXPECT_GT(agg.mean.sim_events, 0.0);
+    EXPECT_GT(agg.mean.kernel.events_fired, 0u);
 }
 
 TEST(Scenario, MissingKeyLookupsAllMiss) {

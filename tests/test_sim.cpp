@@ -112,7 +112,7 @@ TEST(Simulator, EventsScheduleMoreEvents) {
     sim.run_all();
     EXPECT_EQ(depth, 100);
     EXPECT_EQ(sim.now(), 100);
-    EXPECT_EQ(sim.events_processed(), 100u);
+    EXPECT_EQ(sim.kernel_stats().events_fired, 100u);
 }
 
 TEST(Simulator, RunAllCapsRunaway) {

@@ -116,46 +116,5 @@ TEST(Histogram, QuantileOnEmptyThrows) {
     EXPECT_THROW(h.quantile(0.5), std::logic_error);
 }
 
-TEST(MetricSet, CountersAccumulate) {
-    MetricSet m;
-    m.count("x");
-    m.count("x", 2.5);
-    EXPECT_DOUBLE_EQ(m.counter("x"), 3.5);
-    EXPECT_DOUBLE_EQ(m.counter("missing"), 0.0);
-}
-
-TEST(MetricSet, Samples) {
-    MetricSet m;
-    m.sample("lat", 1.0);
-    m.sample("lat", 3.0);
-    const Accumulator* acc = m.find("lat");
-    ASSERT_NE(acc, nullptr);
-    EXPECT_DOUBLE_EQ(acc->mean(), 2.0);
-    EXPECT_EQ(m.find("missing"), nullptr);
-}
-
-TEST(MetricSet, Merge) {
-    MetricSet a;
-    MetricSet b;
-    a.count("c", 1.0);
-    b.count("c", 2.0);
-    b.count("d", 5.0);
-    a.sample("s", 1.0);
-    b.sample("s", 3.0);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.counter("c"), 3.0);
-    EXPECT_DOUBLE_EQ(a.counter("d"), 5.0);
-    EXPECT_DOUBLE_EQ(a.find("s")->mean(), 2.0);
-}
-
-TEST(MetricSet, Clear) {
-    MetricSet m;
-    m.count("c");
-    m.sample("s", 1.0);
-    m.clear();
-    EXPECT_DOUBLE_EQ(m.counter("c"), 0.0);
-    EXPECT_EQ(m.find("s"), nullptr);
-}
-
 }  // namespace
 }  // namespace pqs::util

@@ -127,7 +127,7 @@ TEST(RandomSampling, AdvertiseThenHitWithoutRouting) {
     EXPECT_TRUE(look.ok);
     EXPECT_EQ(look.value, 50u);
     // Sampling never invokes AODV.
-    EXPECT_DOUBLE_EQ(s.world->metrics().counter("net.routing.tx"), 0.0);
+    EXPECT_EQ(s.world->kernel_stats().routing_tx, 0u);
 }
 
 // ---- RANDOM-OPT (§4.5) ----
@@ -178,13 +178,12 @@ TEST(UniquePath, LookupHitsAndRepliesOverReversePath) {
     Services s = build(StrategyKind::kRandom, StrategyKind::kUniquePath, 60,
                        7);
     run_advertise(s, 3, 33, 330);
-    const double routing_before = s.world->metrics().counter("net.routing.tx");
+    const std::uint64_t routing_before = s.world->kernel_stats().routing_tx;
     const AccessResult look = run_lookup(s, 25, 33);
     EXPECT_TRUE(look.ok);
     EXPECT_EQ(look.value, 330u);
     // Walk + reverse-path reply: no routing at all (§8.3).
-    EXPECT_DOUBLE_EQ(s.world->metrics().counter("net.routing.tx"),
-                     routing_before);
+    EXPECT_EQ(s.world->kernel_stats().routing_tx, routing_before);
 }
 
 TEST(UniquePath, EarlyHaltingShortensWalk) {
@@ -209,18 +208,16 @@ TEST(UniquePath, NoEarlyHaltWalksFullQuorumAnyway) {
                            spec.lookup.early_halt = false;
                        });
     run_advertise(s, 3, 44, 440);
-    const double before = s.world->metrics().counter("net.data.tx");
+    const std::uint64_t before = s.world->kernel_stats().data_tx;
     const AccessResult look = run_lookup(s, 25, 44);
     ASSERT_TRUE(look.ok);
     // Let the walk finish even though the op already resolved.
     s.world->simulator().run_until(s.world->simulator().now() +
                                    5 * sim::kSecond);
-    const double walk_msgs =
-        s.world->metrics().counter("net.data.tx") - before;
+    const std::uint64_t walk_msgs = s.world->kernel_stats().data_tx - before;
     // The walk alone needs >= quorum_size - 1 transmissions.
     EXPECT_GE(walk_msgs,
-              static_cast<double>(
-                  s.service->biquorum().spec().lookup.quorum_size - 1));
+              s.service->biquorum().spec().lookup.quorum_size - 1);
 }
 
 TEST(UniquePath, MissResolvesWithoutTimeout) {

@@ -156,7 +156,36 @@ TEST(World, UnicastBetweenNeighbors) {
     w.simulator().run_until(sim::kSecond);
     EXPECT_EQ(received, 1);
     EXPECT_TRUE(acked);
+    EXPECT_EQ(w.kernel_stats().data_tx, 1u);
+}
+
+TEST(World, TransmissionsCountedByCategory) {
+    // The world is not started: no heartbeat fires and no stack reacts to
+    // what it receives, so each send below is the only one of its kind.
+    WorldParams p = small_world();
+    p.oracle_neighbors = true;
+    World w(p);
+    const auto neighbors = w.physical_neighbors(0);
+    ASSERT_FALSE(neighbors.empty());
+    struct Ping final : AppMessage {};
+    w.link().broadcast(make_hello(w.packet_pool(), 0));
+    w.stack(0).send_unicast(neighbors.front(), std::make_shared<Ping>(),
+                            nullptr);
+    // No route yet: AODV broadcasts one route request, and its first
+    // retry is 80 ms away.
+    w.stack(0).send_routed(neighbors.front(), std::make_shared<Ping>(),
+                           nullptr);
+    w.simulator().run_until(10 * sim::kMillisecond);
+
+    const util::KernelStats k = w.kernel_stats();
+    EXPECT_EQ(k.hello_tx, 1u);
+    EXPECT_EQ(k.data_tx, 1u);
+    EXPECT_EQ(k.routing_tx, 1u);
+    // The string-keyed view perfbench/driver.cpp reads.
+    EXPECT_EQ(w.metrics().counter("net.hello.tx"), 1.0);
     EXPECT_EQ(w.metrics().counter("net.data.tx"), 1.0);
+    EXPECT_EQ(w.metrics().counter("net.routing.tx"), 1.0);
+    EXPECT_EQ(w.metrics().counter("net.unknown.tx"), 0.0);
 }
 
 TEST(World, UnicastToFarNodeFails) {
