@@ -44,7 +44,6 @@ core::ScenarioParams make_point(std::size_t point) {
     p.live.enabled = true;
     p.live.crash_fraction_per_sec = kChurnRate;
     p.live.join_fraction_per_sec = kChurnRate;
-    p.live.sample_period = 5 * sim::kSecond;
     p.live.op_max_attempts = 2;
     p.live.refresh = point == 1;
     p.live.refresh_eps_max = kEpsMax;

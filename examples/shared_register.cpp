@@ -8,8 +8,8 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/register.h"
 #include "membership/oracle_membership.h"
+#include "svc/kv_service.h"
 
 using namespace pqs;
 
@@ -29,10 +29,16 @@ int main(int argc, char** argv) {
     spec.advertise.monotonic_store = true;   // old writes cannot clobber
     spec.lookup.kind = core::StrategyKind::kRandom;
     spec.lookup.collect_all_replies = true;  // reads take the max version
-    core::BiquorumSystem biquorum(world, spec, &membership);
+    core::LocationService location(world, spec, &membership);
+    // No quorum cache: each read samples a fresh lookup quorum, so every
+    // read is an independent trial of the guarantee printed below.
+    svc::KvParams kp;
+    kp.cache_quorums = false;
+    svc::KvService reg(location, kp);
+    const util::Key key = 555;
     world.start();
 
-    core::RegisterService reg(biquorum, /*key=*/555);
+    const core::BiquorumSystem& biquorum = location.biquorum();
     std::printf("register over %zu nodes, quorums %zu x %zu, intersection "
                 "guarantee %.3f\n",
                 n, biquorum.spec().advertise.quorum_size,
@@ -46,8 +52,8 @@ int main(int argc, char** argv) {
     for (int i = 0; i < writes; ++i) {
         const auto writer = static_cast<util::NodeId>(rng.index(n));
         bool done = false;
-        reg.write(writer, 1000 + i,
-                  [&](const core::RegisterService::WriteResult& r) {
+        reg.write(writer, key, 1000 + i,
+                  [&](const svc::KvWriteResult& r) {
                       std::printf("  write #%d by node %u -> version %u "
                                   "(%s)\n",
                                   i, writer, r.version,
@@ -60,8 +66,8 @@ int main(int argc, char** argv) {
         // A random reader (with write-back, the ABD second phase).
         const auto reader = static_cast<util::NodeId>(rng.index(n));
         done = false;
-        reg.read(reader,
-                 [&](const core::RegisterService::ReadResult& r) {
+        reg.read(reader, key,
+                 [&](const svc::KvReadResult& r) {
                      std::printf("  read  by node %u -> v%u data=%u\n",
                                  reader, r.value.version, r.value.data);
                      if (r.value.version < last_version_seen) {

@@ -104,8 +104,9 @@ OptimizerResult optimize_quorums(const OptimizerParams& params,
         params.b == 0
             ? symmetric_quorum_size(params.n, params.eps)
             : masking_symmetric_quorum_size(params.n, params.eps, params.b);
+    // The challenged baseline: symmetric Corollary 5.3 sizing on RANDOM.
     result.symmetric = evaluate_candidate(
-        params.baseline_kind, std::min(q_sym, params.n),
+        StrategyKind::kRandom, std::min(q_sym, params.n),
         std::min(q_sym, params.n), params, workload);
     result.improvement =
         result.symmetric.objective > 0.0

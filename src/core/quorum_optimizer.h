@@ -44,8 +44,6 @@ struct OptimizerParams {
     std::vector<StrategyKind> kinds = {StrategyKind::kRandom,
                                        StrategyKind::kUniquePath,
                                        StrategyKind::kPath};
-    // Strategy of the symmetric Corollary 5.3 baseline being challenged.
-    StrategyKind baseline_kind = StrategyKind::kRandom;
 };
 
 // One sized configuration with its analytic figures of merit.

@@ -31,10 +31,6 @@ struct StrategyConfig {
 
     // PATH/UNIQUE-PATH: per-hop resend attempts on MAC failure (§6.2).
     int salvage_retries = 3;
-    // RANDOM: when a routed request fails (broken route, dead target),
-    // adapt by contacting a replacement random node instead (§6.2
-    // "application adaptation"), up to this many times per access.
-    int replacement_targets = 3;
     // Reply handling for reverse-path replies (§6.2, §7.2).
     bool reply_path_reduction = true;
     bool reply_local_repair = true;

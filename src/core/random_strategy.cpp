@@ -10,6 +10,10 @@ namespace pqs::core {
 
 namespace {
 constexpr sim::Time kReplyGrace = 3 * sim::kSecond;
+// When a routed request fails (broken route, dead target), adapt by
+// contacting a replacement random node instead (§6.2 "application
+// adaptation"), up to this many times per access.
+constexpr int kReplacementTargets = 3;
 }
 
 // Sampling-mode walk: a maximum-degree random walk of fixed length whose
@@ -166,7 +170,7 @@ void RandomStrategy::access(AccessKind kind, util::NodeId origin,
     entry->state.value = value;
     entry->state.probe = std::move(probe);
     entry->state.serial = config_.serial && kind == AccessKind::kLookup;
-    entry->state.replacements_left = config_.replacement_targets;
+    entry->state.replacements_left = kReplacementTargets;
     entry->state.trace = trace;
 
     if (mode_ == Mode::kSampling) {

@@ -1,24 +1,9 @@
 #include "core/register.h"
 
-#include <stdexcept>
+#include <algorithm>
 #include <unordered_map>
 
 namespace pqs::core {
-
-RegisterService::RegisterService(BiquorumSystem& biquorum, util::Key key)
-    : biquorum_(biquorum), key_(key) {
-    const BiquorumSpec& spec = biquorum.spec();
-    if (!spec.lookup.collect_all_replies) {
-        throw std::invalid_argument(
-            "RegisterService: lookup side must collect_all_replies so reads "
-            "observe the highest stored version");
-    }
-    if (!spec.advertise.monotonic_store) {
-        throw std::invalid_argument(
-            "RegisterService: advertise side must use monotonic_store so an "
-            "older write cannot overwrite a newer one");
-    }
-}
 
 Versioned highest_versioned(const AccessResult& r, std::size_t b) {
     Value best = 0;
@@ -43,70 +28,6 @@ Versioned highest_versioned(const AccessResult& r, std::size_t b) {
         }
     }
     return unpack(best);
-}
-
-void RegisterService::read(util::NodeId origin, ReadCallback done,
-                           bool write_back) {
-    biquorum_.lookup(origin, key_,
-                     [this, origin, write_back,
-                      done = std::move(done)](const AccessResult& r) {
-                         ReadResult result;
-                         result.ok = r.ok;
-                         result.inconclusive = r.inconclusive;
-                         result.value = highest_versioned(
-                             r, biquorum_.spec().byzantine_b);
-                         if (!write_back || !r.ok) {
-                             done(result);
-                             return;
-                         }
-                         // ABD phase 2: propagate what we read so any later
-                         // read intersects a quorum that stores it.
-                         biquorum_.advertise(
-                             origin, key_, pack(result.value),
-                             [result, done](const AccessResult&) {
-                                 done(result);
-                             });
-                     });
-}
-
-void RegisterService::write(util::NodeId origin, std::uint32_t data,
-                            WriteCallback done) {
-    // Phase 1: learn the newest version any lookup-quorum member knows.
-    biquorum_.lookup(
-        origin, key_,
-        [this, origin, data, done = std::move(done)](const AccessResult& r) {
-            if (r.inconclusive) {
-                // Masking failed: the version base cannot be trusted, and
-                // writing highest_versioned()+1 could regress the register.
-                WriteResult result;
-                result.inconclusive = true;
-                done(result);
-                return;
-            }
-            const Versioned base =
-                highest_versioned(r, biquorum_.spec().byzantine_b);
-            if (base.version == kMaxVersion) {
-                // Version counter saturated: wrapping to 0 would pack
-                // below every stored value, so the monotonic store would
-                // drop the write on nodes holding the high version and
-                // accept it on nodes that do not — a silent fork. Refuse.
-                WriteResult result;
-                result.overflow = true;
-                result.version = kMaxVersion;
-                done(result);
-                return;
-            }
-            const std::uint32_t next_version = base.version + 1;
-            // Phase 2: store the new version at an advertise quorum.
-            biquorum_.advertise(
-                origin, key_, pack(Versioned{next_version, data}),
-                [next_version, done](const AccessResult& adv) {
-                    WriteResult result;
-                    result.ok = adv.ok;
-                    result.version = next_version;
-                    done(result);
-                });
-        });
 }
 
 }  // namespace pqs::core

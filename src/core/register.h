@@ -1,20 +1,7 @@
-// Probabilistic read/write registers over a biquorum system (§2.5 strict
-// semantics, §10): the classic two-phase quorum register (Attiya-Bar-Noy-
-// Dolev style) on top of probabilistic quorums, yielding *probabilistic
-// linearizability* — every operation behaves atomically with probability
-// >= the quorum intersection guarantee.
-//
-//  write(v):  phase 1 — read the current version from a lookup quorum;
-//             phase 2 — store (version+1, v) at an advertise quorum.
-//  read():    phase 1 — query a lookup quorum and take the highest
-//             version; phase 2 (optional write-back) — re-advertise that
-//             value so later reads cannot see an older one.
-//
-// Requirements on the biquorum spec (checked at construction):
-//  - the lookup side collects all replies (collect_all_replies), so reads
-//    see the highest version present in the quorum, not the first reply;
-//  - the advertise side stores monotonically (monotonic_store), so an old
-//    write can never clobber a newer one at a shared quorum member.
+// Values of the paper's read/write register (§2.5 strict semantics,
+// §10): a version and a payload packed into one store Value, plus the
+// version-base rule of a collected lookup. The two-phase register protocol
+// that uses them runs per key in svc::KvService.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +21,7 @@ struct Versioned {
 };
 
 // The last representable version. A write that would need kMaxVersion + 1
-// must fail with WriteResult::overflow instead of wrapping to 0: a wrapped
+// must fail with KvWriteResult::overflow instead of wrapping to 0: a wrapped
 // write packs below every existing value, so the monotonic store would
 // silently discard it — or, worse, clobber data on nodes that never saw
 // the high-version value.
@@ -51,50 +38,7 @@ constexpr Versioned unpack(Value value) {
 
 // Highest version among trustworthy replies of a collected lookup: all of
 // them at b = 0, only values with > b concurring replies under b-masking
-// (a forged reply can carry an arbitrarily high version). Shared by
-// RegisterService and the svc/ key-value path.
+// (a forged reply can carry an arbitrarily high version).
 Versioned highest_versioned(const AccessResult& r, std::size_t b);
-
-class RegisterService {
-public:
-    // `key` names the register inside the shared biquorum system. Throws
-    // std::invalid_argument if the spec lacks collect_all_replies /
-    // monotonic_store (see above).
-    RegisterService(BiquorumSystem& biquorum, util::Key key);
-
-    struct ReadResult {
-        bool ok = false;  // a quorum member held the register
-        // b-masking (spec.byzantine_b > 0): replies arrived but no value
-        // reached > b concurring votes — nothing can be trusted.
-        bool inconclusive = false;
-        Versioned value;
-    };
-    using ReadCallback = std::function<void(const ReadResult&)>;
-    // `write_back` re-advertises the value read (the ABD second phase);
-    // costs one advertise access but makes reads atomic, not just regular.
-    void read(util::NodeId origin, ReadCallback done,
-              bool write_back = false);
-
-    struct WriteResult {
-        bool ok = false;
-        // The register's version counter is saturated (phase 1 observed
-        // kMaxVersion): the write was refused rather than wrapped to
-        // version 0, which would clobber newer data (§6.1 monotonicity).
-        bool overflow = false;
-        // b-masking: phase 1 could not establish a trustworthy version
-        // base, so no version was assigned.
-        bool inconclusive = false;
-        // On ok: the version this write stored. On overflow: kMaxVersion.
-        std::uint32_t version = 0;
-    };
-    using WriteCallback = std::function<void(const WriteResult&)>;
-    void write(util::NodeId origin, std::uint32_t data, WriteCallback done);
-
-    util::Key key() const { return key_; }
-
-private:
-    BiquorumSystem& biquorum_;
-    util::Key key_;
-};
 
 }  // namespace pqs::core

@@ -15,6 +15,10 @@ namespace pqs::core {
 
 namespace {
 
+// Width of the time buckets the live phase reports the measured
+// intersection probability in (ScenarioResult::live_samples).
+constexpr sim::Time kLiveSamplePeriod = 5 * sim::kSecond;
+
 // Continuation state for run_sequential. Shared-owned by the driver and by
 // every event the driver schedules: a straggler continuation firing after
 // run_sequential returned (deadline, abort) finds the state — including
@@ -333,7 +337,7 @@ ScenarioResult run_scenario(const ScenarioParams& params) {
                         if (live_active) {
                             const auto bucket = static_cast<std::size_t>(
                                 (world.simulator().now() - live_start) /
-                                live.sample_period);
+                                kLiveSamplePeriod);
                             if (bucket >= samples.size()) {
                                 samples.resize(bucket + 1);
                                 sample_alive_sum.resize(bucket + 1, 0.0);
@@ -376,7 +380,7 @@ ScenarioResult run_scenario(const ScenarioParams& params) {
         }
         for (std::size_t b = 0; b < samples.size(); ++b) {
             samples[b].t_s = sim::to_seconds(
-                static_cast<sim::Time>(b + 1) * live.sample_period);
+                static_cast<sim::Time>(b + 1) * kLiveSamplePeriod);
             if (samples[b].lookups > 0.0) {
                 samples[b].alive_nodes =
                     sample_alive_sum[b] / samples[b].lookups;

@@ -49,10 +49,6 @@ struct LiveChurnParams {
     // Operation-level retry for accesses issued during the live phase,
     // with RetryPolicy's backoff (500 ms, doubling per attempt).
     int op_max_attempts = 1;
-
-    // Width of the time buckets the measured intersection probability is
-    // reported in (ScenarioResult::live_samples).
-    sim::Time sample_period = 5 * sim::kSecond;
 };
 
 // One time bucket of the live phase. All fields are doubles so buckets

@@ -5,6 +5,12 @@
 
 namespace pqs::net {
 
+namespace {
+// Detection latency of a failed unicast (approximate airtime of 7 retries
+// with backoff).
+constexpr sim::Time kFailureDetect = 25 * sim::kMillisecond;
+}  // namespace
+
 AbstractLink::AbstractLink(World& world, AbstractLinkParams params)
     : world_(world), params_(params), rng_(world.rng().fork()) {}
 
@@ -96,8 +102,7 @@ void AbstractLink::unicast(PacketPtr p, LinkTxCallback done) {
             // pqs-lint: fire-and-forget(failure callback owns its state by
             // value; nothing it touches can die before it fires)
             world_.simulator().schedule_in(
-                params_.failure_detect,
-                [done = std::move(done)] { done(false); });
+                kFailureDetect, [done = std::move(done)] { done(false); });
         }
     });
 }

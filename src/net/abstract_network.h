@@ -21,9 +21,6 @@ class World;
 struct AbstractLinkParams {
     sim::Time delay_min = 1 * sim::kMillisecond;
     sim::Time delay_max = 3 * sim::kMillisecond;
-    // Detection latency of a failed unicast (approximate airtime of 7
-    // retries with backoff).
-    sim::Time failure_detect = 25 * sim::kMillisecond;
     // Residual per-hop loss probabilities *after* MAC retries; normally ~0
     // for unicast, small for broadcast (no ack protection).
     double unicast_loss = 0.0;

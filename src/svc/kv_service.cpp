@@ -5,7 +5,7 @@
 
 namespace pqs::svc {
 
-KvService::KvService(core::LocationService& location, Params params)
+KvService::KvService(core::LocationService& location, KvParams params)
     : loc_(location),
       params_(params),
       byzantine_b_(location.biquorum().spec().byzantine_b) {
@@ -22,14 +22,8 @@ KvService::KvService(core::LocationService& location, Params params)
     }
 }
 
-KvService::~KvService() {
-    drop_cache_leases();
-    if (flush_timer_ != sim::kInvalidEvent) {
-        loc_.world().simulator().cancel(flush_timer_);
-    }
-}
-
-void KvService::read(util::NodeId origin, util::Key key, ReadCallback done) {
+void KvService::read(util::NodeId origin, util::Key key, ReadCallback done,
+                     bool write_back) {
     std::vector<util::NodeId> targets;
     if (params_.cache_quorums) {
         const auto it = cache_.find(key);
@@ -38,7 +32,7 @@ void KvService::read(util::NodeId origin, util::Key key, ReadCallback done) {
         }
     }
     const bool directed = !targets.empty();
-    auto handler = [this, key, directed,
+    auto handler = [this, origin, key, directed, write_back,
                     done = std::move(done)](const core::AccessResult& r) {
         KvReadResult out;
         out.ok = r.ok;
@@ -59,18 +53,22 @@ void KvService::read(util::NodeId origin, util::Key key, ReadCallback done) {
                 ++cache_hits_;
             } else {
                 ++cache_misses_;
-                if (params_.cache_invalidation) {
-                    evict(key);
-                }
+                evict(key);
             }
         }
         if (params_.cache_quorums && r.ok && !r.responders.empty()) {
             cache_[key] = r.responders;
-            arm_cache_lease(key);
         }
-        if (done) {
-            done(out);
+        if (!write_back || !r.ok) {
+            if (done) done(out);
+            return;
         }
+        // ABD phase 2: propagate what we read so any later read
+        // intersects a quorum that stores it.
+        loc_.biquorum().advertise(origin, key, core::pack(out.value),
+                                  [out, done](const core::AccessResult&) {
+                                      if (done) done(out);
+                                  });
     };
     if (directed) {
         loc_.biquorum().lookup_directed(origin, key, targets,
@@ -90,8 +88,10 @@ void KvService::write(util::NodeId origin, util::Key key, std::uint32_t data,
         origin, key,
         [this, origin, key, data,
          done = std::move(done)](const core::AccessResult& r) {
+            KvWriteResult out;
             if (r.inconclusive) {
-                KvWriteResult out;
+                // Masking failed: the version base cannot be trusted, and
+                // writing highest_versioned()+1 could regress the key.
                 out.inconclusive = true;
                 if (done) done(out);
                 return;
@@ -99,7 +99,10 @@ void KvService::write(util::NodeId origin, util::Key key, std::uint32_t data,
             const core::Versioned base =
                 core::highest_versioned(r, byzantine_b_);
             if (base.version == core::kMaxVersion) {
-                KvWriteResult out;
+                // Version counter saturated: wrapping to 0 would pack
+                // below every stored value, so the monotonic store would
+                // drop the write on nodes holding the high version and
+                // accept it on nodes that do not — a silent fork. Refuse.
                 out.overflow = true;
                 out.version = core::kMaxVersion;
                 if (done) done(out);
@@ -111,120 +114,33 @@ void KvService::write(util::NodeId origin, util::Key key, std::uint32_t data,
             // Register with the location service (not via advertise(), so
             // no duplicate access) so QuorumRefresher keeps the key alive.
             loc_.record_published(origin, key, packed);
-            finish_write(origin, key, packed, next, std::move(done));
+            // Phase 2: store the new version at an advertise quorum.
+            loc_.biquorum().advertise(
+                origin, key, packed,
+                [next, done](const core::AccessResult& adv) {
+                    KvWriteResult result;
+                    result.ok = adv.ok;
+                    result.timed_out = adv.timed_out;
+                    result.version = next;
+                    if (done) done(result);
+                });
         });
-}
-
-void KvService::finish_write(util::NodeId origin, util::Key key,
-                             core::Value packed, std::uint32_t version,
-                             WriteCallback done) {
-    if (params_.batch_window <= 0) {
-        loc_.biquorum().advertise(
-            origin, key, packed,
-            [version, done = std::move(done)](const core::AccessResult& adv) {
-                KvWriteResult out;
-                out.ok = adv.ok;
-                out.version = version;
-                if (done) done(out);
-            });
-        return;
-    }
-    PendingAdvertise& pending = batch_[key];
-    if (pending.waiters.empty() || packed > pending.value) {
-        pending.origin = origin;
-        pending.value = packed;  // newest version wins the flush
-    } else {
-        ++batched_writes_;  // coalesced behind a newer pending write
-    }
-    pending.waiters.push_back(Waiter{version, std::move(done)});
-    if (flush_timer_ == sim::kInvalidEvent) {
-        flush_timer_ = loc_.world().simulator().schedule_in(
-            params_.batch_window, [this] { flush_batch(); });
-    }
-}
-
-void KvService::flush_batch() {
-    flush_timer_ = sim::kInvalidEvent;
-    ++batch_flushes_;
-    // One advertise per key carries the newest pending version; every
-    // waiter behind it resolves off that single access (monotonic stores
-    // make advertising only the max equivalent to advertising each).
-    std::map<util::Key, PendingAdvertise> batch = std::move(batch_);
-    batch_.clear();
-    for (auto& [key, pending] : batch) {
-        loc_.biquorum().advertise(
-            pending.origin, key, pending.value,
-            [waiters = std::move(pending.waiters)](
-                const core::AccessResult& adv) {
-                for (const Waiter& w : waiters) {
-                    KvWriteResult out;
-                    out.ok = adv.ok;
-                    out.version = w.version;
-                    if (w.done) w.done(out);
-                }
-            });
-    }
 }
 
 void KvService::on_node_refreshed(util::NodeId node) {
     (void)node;
-    if (!params_.cache_invalidation || cache_.empty()) {
-        return;
-    }
     // A refresh signals churn reached this node's advertise quorums; the
     // cached lookup quorums aged over the same churn, so drop them all.
     // Per-key precision is not worth tracking: re-resolving a key is one
     // cold lookup.
     cache_invalidations_ += cache_.size();
     cache_.clear();
-    drop_cache_leases();
-}
-
-void KvService::set_lookup_quorum_size(std::size_t size) {
-    loc_.biquorum().lookup_strategy().set_quorum_size(size);
-    if (params_.cache_invalidation && !cache_.empty()) {
-        cache_invalidations_ += cache_.size();
-        cache_.clear();
-        drop_cache_leases();
-    }
 }
 
 void KvService::evict(util::Key key) {
-    if (const auto it = cache_lease_timers_.find(key);
-        it != cache_lease_timers_.end()) {
-        loc_.world().simulator().cancel(it->second);
-        cache_lease_timers_.erase(it);
-    }
     if (cache_.erase(key) > 0) {
         ++cache_invalidations_;
     }
-}
-
-void KvService::arm_cache_lease(util::Key key) {
-    if (params_.cache_lease <= 0) {
-        return;
-    }
-    if (const auto it = cache_lease_timers_.find(key);
-        it != cache_lease_timers_.end()) {
-        // Re-cache extends the lease: the old deadline is dead.
-        loc_.world().simulator().cancel(it->second);
-        cache_lease_timers_.erase(it);
-    }
-    cache_lease_timers_[key] = loc_.world().simulator().schedule_in(
-        params_.cache_lease, [this, key] {
-            cache_lease_timers_.erase(key);
-            if (cache_.erase(key) > 0) {
-                ++cache_lease_expirations_;
-                ++cache_invalidations_;
-            }
-        });
-}
-
-void KvService::drop_cache_leases() {
-    for (const auto& [key, event] : cache_lease_timers_) {
-        loc_.world().simulator().cancel(event);
-    }
-    cache_lease_timers_.clear();
 }
 
 }  // namespace pqs::svc

@@ -1,28 +1,37 @@
 // Service layer over the probabilistic biquorum: a versioned key-value
-// store that applies the register protocol (ABD two-phase, §2.5/§10)
-// per key, plus the machinery sustained traffic needs and a single
-// register never exercises:
+// store, and the implementation of the paper's read/write register (§2.5
+// strict semantics, §10). Each key is a classic two-phase quorum register
+// (Attiya-Bar-Noy-Dolev style) on top of probabilistic quorums, which
+// yields *probabilistic linearizability* — every operation behaves
+// atomically with probability >= the quorum intersection guarantee.
 //
-//  - a per-key lookup-quorum cache: a successful collected lookup
-//    remembers which concrete nodes replied and aims the next read at
-//    them directly (sound by Mix-and-Match Lemma 5.2 — the ε guarantee
-//    only needs the *advertise* side random, so any fixed lookup set
-//    still ε-intersects every fresh advertise quorum). The cache goes
-//    stale when members die: invalidation is wired to QuorumRefresher
-//    re-advertises (the churn signal), size-estimator resizes, and
-//    directed misses. `Params::cache_invalidation = false` replays the
-//    pre-fix behavior where none of those evict and the hit rate never
-//    recovers after a churn burst.
-//  - advertisement batching: phase-2 advertises within a flush window
-//    are coalesced per key (newest version wins), cutting advertise
-//    accesses under write bursts to hot keys.
-//  - version-overflow refusal on the write path (register.h kMaxVersion
-//    semantics), surfaced as KvWriteResult::overflow.
+//  write(v):  phase 1 — read the current version from a lookup quorum;
+//             phase 2 — store (version+1, v) at an advertise quorum. The
+//             write is refused, not issued, when phase 1 finds no
+//             trustworthy version base (b-masking) or a saturated
+//             version counter (register.h kMaxVersion).
+//  read():    phase 1 — query a lookup quorum and take the highest
+//             version; phase 2 (optional write-back) — re-advertise that
+//             value so later reads cannot see an older one.
+//
+// Reads also keep a per-key lookup-quorum cache: a successful collected
+// lookup remembers which concrete nodes replied and aims the next read at
+// them directly (sound by Mix-and-Match Lemma 5.2 — the ε guarantee only
+// needs the *advertise* side random, so any fixed lookup set still
+// ε-intersects every fresh advertise quorum). The cache goes stale when
+// members die, so QuorumRefresher re-advertises (the churn signal) and
+// directed misses evict it.
+//
+// Requirements on the biquorum spec (checked at construction):
+//  - the lookup side collects all replies (collect_all_replies), so reads
+//    see the highest version present in the quorum and responders are
+//    recorded;
+//  - the advertise side stores monotonically (monotonic_store), so an old
+//    write can never clobber a newer one at a shared quorum member.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -45,6 +54,7 @@ struct KvWriteResult {
     bool ok = false;
     bool overflow = false;      // version counter saturated; refused
     bool inconclusive = false;  // phase 1 found no trustworthy base
+    bool timed_out = false;     // the phase-2 advertise hit op_timeout
     std::uint32_t version = 0;  // on ok: the version stored
 };
 
@@ -52,33 +62,21 @@ struct KvParams {
     // Remember responders of successful reads and aim later reads at
     // them directly.
     bool cache_quorums = true;
-    // Evict cached quorums on refresh / resize / directed miss.
-    // false = the satellite-2 pre-fix reproducer: stale entries are
-    // kept forever and keep targeting dead nodes.
-    bool cache_invalidation = true;
-    // Coalesce phase-2 advertises per key and flush every window;
-    // 0 disables batching (each write advertises immediately).
-    sim::Time batch_window = 0;
-    // Timed cached quorums: a cached lookup quorum expires this long
-    // after it was recorded (re-caching extends it; <= 0 never expires).
-    // Under duty-cycling a cached set silently rots as members sleep or
-    // deplete, so bounding its age bounds the staleness a directed read
-    // can hit — the svc-layer face of the lease Δ in
-    // core::timed_quorum_miss_bound.
-    sim::Time cache_lease = 0;
 };
 
 class KvService {
 public:
-    using Params = KvParams;
-
-    KvService(core::LocationService& location, Params params = {});
-    ~KvService();
+    // Throws std::invalid_argument if the spec lacks collect_all_replies /
+    // monotonic_store (see above).
+    KvService(core::LocationService& location, KvParams params = {});
 
     using ReadCallback = std::function<void(const KvReadResult&)>;
     using WriteCallback = std::function<void(const KvWriteResult&)>;
 
-    void read(util::NodeId origin, util::Key key, ReadCallback done);
+    // `write_back` re-advertises the value read (the ABD second phase);
+    // costs one advertise access but makes reads atomic, not just regular.
+    void read(util::NodeId origin, util::Key key, ReadCallback done,
+              bool write_back = false);
     void write(util::NodeId origin, util::Key key, std::uint32_t data,
                WriteCallback done);
 
@@ -88,14 +86,8 @@ public:
     // so evict every key this service has cached.
     void on_node_refreshed(util::NodeId node);
 
-    // Size-estimator hook: resize the lookup quorum and drop every cached
-    // entry (cached sets were sized for the old quorum).
-    void set_lookup_quorum_size(std::size_t size);
-
     core::BiquorumSystem& biquorum() { return loc_.biquorum(); }
-    const Params& params() const { return params_; }
 
-    std::size_t cached_keys() const { return cache_.size(); }
     // The cached lookup quorum for `key`; empty when nothing is cached.
     std::vector<util::NodeId> cached_quorum(util::Key key) const {
         const auto it = cache_.find(key);
@@ -105,50 +97,18 @@ public:
     std::uint64_t cache_hits() const { return cache_hits_; }
     std::uint64_t cache_misses() const { return cache_misses_; }
     std::uint64_t cache_invalidations() const { return cache_invalidations_; }
-    std::uint64_t cache_lease_expirations() const {
-        return cache_lease_expirations_;
-    }
-    std::uint64_t batched_writes() const { return batched_writes_; }
-    std::uint64_t batch_flushes() const { return batch_flushes_; }
 
 private:
-    void finish_write(util::NodeId origin, util::Key key, core::Value packed,
-                      std::uint32_t version, WriteCallback done);
-    void flush_batch();
     void evict(util::Key key);
-    void arm_cache_lease(util::Key key);
-    void drop_cache_leases();
 
     core::LocationService& loc_;
-    Params params_;
+    KvParams params_;
     std::size_t byzantine_b_;
 
     std::unordered_map<util::Key, std::vector<util::NodeId>> cache_;
     std::uint64_t cache_hits_ = 0;
     std::uint64_t cache_misses_ = 0;
     std::uint64_t cache_invalidations_ = 0;
-    // Pending cache-lease expiries; ordered so teardown cancellation is
-    // deterministic. Every event captures `this` — the destructor cancels
-    // them all (event-lifetime discipline).
-    std::map<util::Key, sim::EventId> cache_lease_timers_;
-    std::uint64_t cache_lease_expirations_ = 0;
-
-    // Pending batched advertises. std::map so the flush issues accesses
-    // in sorted key order — unordered iteration would consume RNG draws
-    // in an unspecified order and break bit-identical replays.
-    struct Waiter {
-        std::uint32_t version = 0;
-        WriteCallback done;
-    };
-    struct PendingAdvertise {
-        util::NodeId origin = util::kInvalidNode;
-        core::Value value = 0;  // newest packed (version, data)
-        std::vector<Waiter> waiters;
-    };
-    std::map<util::Key, PendingAdvertise> batch_;
-    sim::EventId flush_timer_ = sim::kInvalidEvent;
-    std::uint64_t batched_writes_ = 0;
-    std::uint64_t batch_flushes_ = 0;
 };
 
 }  // namespace pqs::svc

@@ -51,7 +51,7 @@ void KvWorkloadDriver::schedule_next_arrival() {
 void KvWorkloadDriver::on_arrival() {
     // Draw the op before any early-out so the (key, kind, origin) stream
     // is a pure function of the seed, whatever the network does.
-    const util::Key key = params_.key_base + zipf_.sample(rng_);
+    const util::Key key = 1 + zipf_.sample(rng_);
     const bool is_read = rng_.bernoulli(params_.read_fraction);
     net::World& world = kv_.biquorum().context().world;
     schedule_next_arrival();
@@ -101,10 +101,8 @@ void KvWorkloadDriver::on_arrival() {
             ++s->report.completed;
             if (r.ok) ++s->report.write_ok;
             if (r.overflow) ++s->report.overflows;
+            if (r.timed_out) ++s->report.timeouts;
             if (r.inconclusive) ++s->report.inconclusive;
-            if (!r.ok && !r.overflow && !r.inconclusive) {
-                ++s->report.timeouts;
-            }
             s->report.write_latency.record(world.simulator().now() -
                                            issued_at);
         });
@@ -122,15 +120,13 @@ void KvWorkloadDriver::finalize() {
     const sim::Time now = world.simulator().now();
 
     report.censored = shared_->inflight.size();
-    if (params_.count_inflight) {
-        // Censor, don't drop: each in-flight op has already waited
-        // (now - issued_at) without resolving, which lower-bounds its
-        // latency and is a de-facto timeout for this measurement window.
-        for (const auto& [op, in] : shared_->inflight) {
-            ++report.timeouts;
-            (in.is_read ? report.read_latency : report.write_latency)
-                .record(now - in.issued_at);
-        }
+    // Censor, don't drop: each in-flight op has already waited
+    // (now - issued_at) without resolving, which lower-bounds its
+    // latency and is a de-facto timeout for this measurement window.
+    for (const auto& [op, in] : shared_->inflight) {
+        ++report.timeouts;
+        (in.is_read ? report.read_latency : report.write_latency)
+            .record(now - in.issued_at);
     }
     shared_->inflight.clear();
 

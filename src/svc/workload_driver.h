@@ -4,12 +4,14 @@
 // percentiles honest (a closed loop slows its own arrival rate exactly
 // when the service degrades, hiding the queueing tail).
 //
-// Accounting rules the driver enforces (satellite 3):
+// Accounting rules the driver enforces:
 //  - operations still in flight when the measurement window closes are
 //    *censored*, not dropped: each contributes (end - issue) as a
 //    latency floor and counts toward the timeout rate. Dropping them
-//    (`count_inflight = false`, the pre-fix reproducer) under-reports
-//    p99 and timeout rate precisely when the service is slowest;
+//    would under-report p99 and timeout rate precisely when the service
+//    is slowest;
+//  - only operations that hit op_timeout count as timeouts: a write
+//    whose advertise failed early (broken routes) is a failed write;
 //  - MRW load comes off LoadAccountant's resolved denominator, so the
 //    censored in-flight accesses do not deflate the per-access load of
 //    the operations that actually finished.
@@ -26,10 +28,9 @@
 namespace pqs::svc {
 
 struct KvWorkloadParams {
+    // Keys are 1..key_count, Zipf-ranked in that order.
     std::size_t key_count = 1000;
     double zipf_theta = 0.99;
-    // First key id; keys occupy [key_base, key_base + key_count).
-    util::Key key_base = 1;
     double read_fraction = 0.9;
     // Open-loop Poisson arrival rate, operations per second of virtual
     // time. Arrivals are independent of completions.
@@ -42,9 +43,6 @@ struct KvWorkloadParams {
     // independent of the world's RNG, so the same op stream can be
     // replayed against different networks.
     std::uint64_t seed = 1;
-    // Satellite-3 reproducer knob: false drops in-flight ops from the
-    // report at the end instead of censoring them into the tail.
-    bool count_inflight = true;
 };
 
 struct KvWorkloadReport {
@@ -95,7 +93,7 @@ public:
     void start();
     // Cancels the pending arrival (idempotent).
     void stop();
-    // Censors in-flight ops per KvWorkloadParams::count_inflight and
+    // Censors in-flight ops into the timeouts and latency histograms and
     // snapshots load + cache counters. Completions that land after this
     // are ignored. Idempotent.
     void finalize();

@@ -29,7 +29,6 @@ ScenarioParams live_params(std::size_t n, std::uint64_t seed) {
     p.live.enabled = true;
     p.live.crash_fraction_per_sec = 0.01;
     p.live.join_fraction_per_sec = 0.01;
-    p.live.sample_period = 5 * sim::kSecond;
     return p;
 }
 
