@@ -11,8 +11,8 @@ namespace pqs::net {
 NodeStack::NodeStack(World& world, util::NodeId id, util::Rng rng)
     : world_(world),
       id_(id),
-      rng_(rng),
       neighbor_table_(world.params().heartbeat),
+      rng_(rng),
       aodv_(*this, world.params().aodv) {}
 
 void NodeStack::start() {
@@ -184,13 +184,17 @@ void NodeStack::deliver_local(util::NodeId prev_hop, util::NodeId net_src,
     }
 }
 
+// pqs-hot: every received packet, hellos included, lands here.
 void NodeStack::on_receive(PacketPtr p) {
     if (!running_) {
         return;
     }
     const util::NodeId from = p->link_src;
-    // Any overheard packet proves the sender is a live neighbor.
-    neighbor_table_.on_hello(from, world_.simulator().now());
+    // Any overheard packet proves the sender is a live neighbor. With
+    // oracle neighbors nothing reads the table, so it is not kept.
+    if (!world_.params().oracle_neighbors) {
+        neighbor_table_.on_hello(from, world_.simulator().now());
+    }
 
     if (std::holds_alternative<HelloBody>(p->body)) {
         return;

@@ -111,16 +111,18 @@ private:
     void deliver_local(util::NodeId prev_hop, util::NodeId net_src,
                        const AppMsgPtr& msg);
 
+    // What a hello receive touches sits together in the first 48 bytes,
+    // so on_receive does not pull the rest of the stack into cache.
     World& world_;
     util::NodeId id_;
-    util::Rng rng_;
+    bool running_ = false;
+    bool suspended_ = false;
     NeighborTable neighbor_table_;
+    util::Rng rng_;
     Aodv aodv_;
     std::vector<AppHandler> app_handlers_;
     std::vector<SnoopHandler> snoop_handlers_;
     std::vector<OverhearHandler> overhear_handlers_;
-    bool running_ = false;
-    bool suspended_ = false;
     // Pending heartbeat event, cancelled on shutdown so a revived node's
     // restart() can't race a stale [this] callback from its previous life.
     sim::EventId heartbeat_timer_ = sim::kInvalidEvent;

@@ -474,6 +474,7 @@ util::NodeId World::spawn_node() {
     return id;
 }
 
+// pqs-hot: the link layer's hand-off for every received packet.
 void World::deliver(util::NodeId to, PacketPtr p) {
     // awake, not alive: sleeping nodes miss quorum probes — they neither
     // receive nor acknowledge, though they keep their stored values.
