@@ -3,6 +3,7 @@
 // the final hop). Reports hit ratio, messages and routing overhead per
 // lookup across speeds, plus the proactive variant with a 3 sqrt(n)
 // advertise quorum (panel e).
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -26,6 +27,10 @@ void sweep(double adv_mult) {
         p.spec.advertise.kind = StrategyKind::kRandom;
         p.spec.advertise.quorum_size =
             static_cast<std::size_t>(std::lround(adv_mult * rtn));
+        // RANDOM draws its quorum from the membership view: a 2 sqrt(n)
+        // view would cap the 3 sqrt(n) panel at the 2 sqrt(n) quorum.
+        p.membership_view = std::max(membership::default_view_size(n),
+                                     p.spec.advertise.quorum_size);
         p.spec.lookup.kind = StrategyKind::kUniquePath;
         p.spec.lookup.quorum_size =
             static_cast<std::size_t>(std::lround(1.15 * rtn));

@@ -48,11 +48,11 @@ std::unique_ptr<AccessStrategy> make_strategy(ServiceContext& ctx,
                                               std::uint32_t tag) {
     switch (config.kind) {
         case StrategyKind::kRandom:
-            return std::make_unique<RandomStrategy>(
-                ctx, config, tag, RandomStrategy::Mode::kMembership);
+            return std::make_unique<RandomStrategy>(ctx, config, tag);
         case StrategyKind::kRandomSampling:
-            return std::make_unique<RandomStrategy>(
-                ctx, config, tag, RandomStrategy::Mode::kSampling);
+            throw std::invalid_argument(
+                "make_strategy: RANDOM(sampling) has only a closed form "
+                "(core/theory.h); simulate membership-based RANDOM");
         case StrategyKind::kRandomOpt:
             return std::make_unique<RandomOptStrategy>(ctx, config, tag);
         case StrategyKind::kPath:

@@ -14,7 +14,7 @@
 #include "core/quorum_spec.h"
 #include "core/reply_path.h"
 #include "core/store.h"
-#include "membership/membership.h"
+#include "membership/oracle_membership.h"
 #include "net/world.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -50,7 +50,9 @@ struct RetryPolicy {
 // Shared state all strategies operate against. Owned by LocationService.
 struct ServiceContext {
     net::World& world;
-    membership::MembershipService* membership = nullptr;
+    // Target views for RANDOM and RANDOM-OPT, which refuse a null one;
+    // PATH, UNIQUE-PATH and FLOODING never read it.
+    membership::OracleMembership* membership = nullptr;
     ReplyPathRouter* reply_router = nullptr;
     sim::Time op_timeout = 30 * sim::kSecond;
     RetryPolicy retry;
@@ -359,6 +361,8 @@ protected:
 };
 
 // Instantiates the strategy implementation selected by `config.kind`.
+// Throws std::invalid_argument for kRandomSampling, which has only a closed
+// form, and for RANDOM or RANDOM-OPT without ctx.membership.
 std::unique_ptr<AccessStrategy> make_strategy(ServiceContext& ctx,
                                               StrategyConfig config,
                                               std::uint32_t tag);

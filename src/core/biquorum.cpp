@@ -53,7 +53,7 @@ void BiquorumSystem::apply_vote(AccessResult& r, util::NodeId origin,
 }
 
 BiquorumSystem::BiquorumSystem(net::World& world, BiquorumSpec spec,
-                               membership::MembershipService* membership)
+                               membership::OracleMembership* membership)
     : spec_(spec), ctx_(world), router_(world) {
     spec_.resolve_sizes(world.params().n);
     ctx_.membership = membership;

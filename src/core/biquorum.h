@@ -30,11 +30,12 @@ VoteOutcome vote_values(const std::vector<Value>& values, std::size_t b);
 
 class BiquorumSystem {
 public:
-    // `membership` may be null when neither strategy is RANDOM-based.
+    // `membership` may be null only when neither side is RANDOM or
+    // RANDOM-OPT; those strategies throw std::invalid_argument without it.
     // Quorum sizes left at 0 in `spec` are derived from spec.eps via
     // Corollary 5.3 for the world's node count.
     BiquorumSystem(net::World& world, BiquorumSpec spec,
-                   membership::MembershipService* membership = nullptr);
+                   membership::OracleMembership* membership = nullptr);
     ~BiquorumSystem();
     BiquorumSystem(const BiquorumSystem&) = delete;
     BiquorumSystem& operator=(const BiquorumSystem&) = delete;

@@ -2,9 +2,11 @@
 // ("The Load and Availability of Byzantine Quorum Systems"): the load
 // L(S) a strategy induces is the access probability of the busiest node.
 // The accountant tracks, per node, how many quorum requests it served
-// (touches) and how many top-level accesses were issued overall, so
-// L(S) is estimated as max_i touches(i)/accesses. Touch increments are
-// mirrored into KernelStats (quorum_loads_counted) by ServiceContext.
+// (touches) and how many top-level accesses were issued overall;
+// summarize_load() (access_strategy.h) estimates L(S) from them as the
+// busiest alive node's touches over access_denominator(). Touch
+// increments are mirrored into KernelStats (quorum_loads_counted) by
+// ServiceContext.
 #pragma once
 
 #include <cstddef>
@@ -50,10 +52,6 @@ public:
     std::uint64_t access_denominator() const {
         return resolved_ > 0 ? resolved_ : accesses_;
     }
-
-    // MRW load estimate: the empirical access probability of the busiest
-    // node, max_i touches(i)/access_denominator(). 0 before any access.
-    double max_access_probability() const;
 
 private:
     std::vector<std::uint64_t> touches_;

@@ -6,7 +6,7 @@
 namespace pqs::core {
 
 LocationService::LocationService(net::World& world, BiquorumSpec spec,
-                                 membership::MembershipService* membership)
+                                 membership::OracleMembership* membership)
     : world_(world), biquorum_(world, spec, membership) {
     published_.resize(world.node_count());
 }

@@ -15,7 +15,7 @@ namespace pqs::core {
 class LocationService {
 public:
     LocationService(net::World& world, BiquorumSpec spec,
-                    membership::MembershipService* membership = nullptr);
+                    membership::OracleMembership* membership = nullptr);
 
     BiquorumSystem& biquorum() { return biquorum_; }
     net::World& world() { return world_; }

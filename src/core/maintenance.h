@@ -10,7 +10,7 @@
 
 #include "core/location_service.h"
 #include "core/theory.h"
-#include "membership/membership.h"
+#include "membership/oracle_membership.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 #include "util/rng.h"
@@ -93,7 +93,7 @@ private:
 // drawn from a membership service (§6.3).
 class NetworkSizeEstimator {
 public:
-    NetworkSizeEstimator(membership::MembershipService& membership,
+    NetworkSizeEstimator(membership::OracleMembership& membership,
                          util::Rng rng)
         : membership_(membership), rng_(rng) {}
 
@@ -104,14 +104,14 @@ public:
     // between calls or prefer estimate_across().
     std::optional<double> estimate(util::NodeId node, std::size_t samples);
 
-    // Draws one sample from each probe node's view (views are filled by
-    // independent walks, so cross-node draws are independent even at one
+    // Draws one sample from each probe node's view (each view is drawn
+    // independently, so cross-node draws are independent even at one
     // instant — the way §6.3 counts collisions *between* random walks).
     std::optional<double> estimate_across(
         const std::vector<util::NodeId>& probes, std::size_t rounds = 1);
 
 private:
-    membership::MembershipService& membership_;
+    membership::OracleMembership& membership_;
     util::Rng rng_;
 };
 

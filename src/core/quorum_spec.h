@@ -39,9 +39,6 @@ struct StrategyConfig {
     // the origin instead of dropping the reply.
     bool reply_global_repair_fallback = true;
 
-    // Sampling-based RANDOM: MD walk length (0 => n/2).
-    std::size_t sampling_walk_length = 0;
-
     // §7.1 caching: relay nodes of reply messages keep a bystander copy of
     // the mapping (lookup side), and nodes that forward routed advertise
     // requests cache them en route (advertise side).

@@ -1,6 +1,6 @@
 #include "core/random_opt_strategy.h"
 
-#include <algorithm>
+#include <stdexcept>
 
 #include "net/node_stack.h"
 
@@ -12,9 +12,13 @@ constexpr sim::Time kReplyGrace = 3 * sim::kSecond;
 
 RandomOptStrategy::RandomOptStrategy(ServiceContext& ctx,
                                      StrategyConfig config, std::uint32_t tag)
-    : AccessStrategy(ctx, config, tag),
-      ops_(ctx.world.simulator()),
-      rng_(ctx.world.rng().fork()) {}
+    : AccessStrategy(ctx, config, tag), ops_(ctx.world.simulator()) {
+    if (ctx.membership == nullptr) {
+        throw std::invalid_argument("RANDOM-OPT needs a membership service");
+    }
+    // Unused fork: dropping it would shift every later world-RNG fork.
+    ctx.world.rng().fork();
+}
 
 RandomOptStrategy::~RandomOptStrategy() {
     ops_.for_each_state([this](OpState& state) {
@@ -107,18 +111,8 @@ void RandomOptStrategy::access(AccessKind kind, util::NodeId origin,
     entry->state.probe = std::move(probe);
     entry->state.trace = trace;
 
-    std::vector<util::NodeId> targets;
-    if (ctx_.membership != nullptr) {
-        targets = ctx_.membership->sample(origin, config_.quorum_size);
-    } else {
-        const util::AliveSet& alive = ctx_.world.alive_set();
-        const std::size_t take =
-            std::min<std::size_t>(config_.quorum_size, alive.count());
-        for (const std::size_t idx :
-             rng_.sample_without_replacement(alive.count(), take)) {
-            targets.push_back(alive.select(idx));
-        }
-    }
+    const std::vector<util::NodeId> targets =
+        ctx_.membership->sample(origin, config_.quorum_size);
     if (targets.empty()) {
         finish(op, false, 0);
         return;

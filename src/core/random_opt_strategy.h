@@ -13,6 +13,7 @@ namespace pqs::core {
 
 class RandomOptStrategy final : public AccessStrategy {
 public:
+    // Throws std::invalid_argument when ctx.membership is null.
     RandomOptStrategy(ServiceContext& ctx, StrategyConfig config,
                       std::uint32_t tag);
     // Cancels the reply-grace timers of still-pending ops: their events
@@ -48,7 +49,6 @@ private:
     void finish(util::AccessId op, bool hit, Value value);
 
     OpTable<OpState> ops_;
-    util::Rng rng_;
 };
 
 }  // namespace pqs::core

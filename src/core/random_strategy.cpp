@@ -1,7 +1,6 @@
 #include "core/random_strategy.h"
 
-#include <algorithm>
-#include <cmath>
+#include <stdexcept>
 
 #include "net/node_stack.h"
 #include "net/tamper.h"
@@ -16,28 +15,15 @@ constexpr sim::Time kReplyGrace = 3 * sim::kSecond;
 constexpr int kReplacementTargets = 3;
 }
 
-// Sampling-mode walk: a maximum-degree random walk of fixed length whose
-// terminal node becomes the quorum member (§4.1, direct sampling).
-struct RandomStrategy::SamplingWalkMsg final : net::AppMessage {
-    std::uint32_t strategy_tag = 0;
-    util::AccessId op;
-    AccessKind kind = AccessKind::kLookup;
-    util::Key key = 0;
-    Value value = 0;
-    std::size_t remaining = 0;
-    std::vector<util::NodeId> path;  // hop sequence from the origin
-    std::shared_ptr<IntersectionProbe> probe;
-    ReplyOptions reply_options;
-
-    std::size_t size_bytes() const override { return 512 + 4 * path.size(); }
-};
-
 RandomStrategy::RandomStrategy(ServiceContext& ctx, StrategyConfig config,
-                               std::uint32_t tag, Mode mode)
-    : AccessStrategy(ctx, config, tag),
-      mode_(mode),
-      ops_(ctx.world.simulator()),
-      rng_(ctx.world.rng().fork()) {}
+                               std::uint32_t tag)
+    : AccessStrategy(ctx, config, tag), ops_(ctx.world.simulator()) {
+    if (ctx.membership == nullptr) {
+        throw std::invalid_argument("RANDOM needs a membership service");
+    }
+    // Unused fork: dropping it would shift every later world-RNG fork.
+    ctx.world.rng().fork();
+}
 
 RandomStrategy::~RandomStrategy() {
     ops_.for_each_state([this](OpState& state) {
@@ -46,28 +32,6 @@ RandomStrategy::~RandomStrategy() {
             state.grace_timer = sim::kInvalidEvent;
         }
     });
-}
-
-std::string RandomStrategy::name() const {
-    return mode_ == Mode::kMembership ? "RANDOM" : "RANDOM(sampling)";
-}
-
-std::vector<util::NodeId> RandomStrategy::pick_targets(util::NodeId origin,
-                                                       std::size_t k) {
-    if (ctx_.membership != nullptr) {
-        return ctx_.membership->sample(origin, k);
-    }
-    // Fallback for worlds without a membership service: sample ground truth
-    // (used in unit tests; real setups always attach a service).
-    const util::AliveSet& alive = ctx_.world.alive_set();
-    const std::size_t take = std::min(k, alive.count());
-    std::vector<util::NodeId> out;
-    out.reserve(take);
-    for (const std::size_t idx :
-         rng_.sample_without_replacement(alive.count(), take)) {
-        out.push_back(alive.select(idx));
-    }
-    return out;
 }
 
 void RandomStrategy::attach_node(util::NodeId id) {
@@ -146,12 +110,6 @@ void RandomStrategy::attach_node(util::NodeId id) {
                 }
                 return true;
             }
-            if (const auto walk =
-                    std::dynamic_pointer_cast<const SamplingWalkMsg>(msg);
-                walk && walk->strategy_tag == tag_) {
-                sampling_visit(id, walk);
-                return true;
-            }
             return false;
         });
 }
@@ -172,13 +130,7 @@ void RandomStrategy::access(AccessKind kind, util::NodeId origin,
     entry->state.serial = config_.serial && kind == AccessKind::kLookup;
     entry->state.replacements_left = kReplacementTargets;
     entry->state.trace = trace;
-
-    if (mode_ == Mode::kSampling) {
-        launch_sampling_walks(op, origin);
-        return;
-    }
-
-    entry->state.targets = pick_targets(origin, config_.quorum_size);
+    entry->state.targets = ctx_.membership->sample(origin, config_.quorum_size);
     launch_targets(op, origin);
 }
 
@@ -186,9 +138,8 @@ void RandomStrategy::access_directed(AccessKind kind, util::NodeId origin,
                                      util::Key key, Value value,
                                      const std::vector<util::NodeId>& targets,
                                      obs::TraceId trace, AccessCallback done) {
-    if (mode_ == Mode::kSampling || targets.empty()) {
-        // Walk terminals are not addressable; an empty hint means the
-        // caller has nothing cached. Either way: a plain access.
+    if (targets.empty()) {
+        // An empty hint means the caller has nothing cached.
         access(kind, origin, key, value, trace, std::move(done));
         return;
     }
@@ -302,7 +253,7 @@ void RandomStrategy::on_target_resolved(util::AccessId op,
         // Parallel mode: replace the unreachable target with a fresh
         // random node (§6.2) — resending to the same one would fail again.
         --state.replacements_left;
-        const auto replacement = pick_targets(origin, 1);
+        const auto replacement = ctx_.membership->sample(origin, 1);
         if (!replacement.empty()) {
             state.targets.push_back(replacement.front());
             send_to_target(op, origin, replacement.front());
@@ -371,145 +322,7 @@ void RandomStrategy::finish(util::AccessId op, bool hit, Value value) {
         result.nodes_contacted =
             state.serial ? state.next_target : state.delivered;
     }
-    if (mode_ == Mode::kSampling) {
-        result.nodes_contacted = state.walks_ended;
-    }
     ops_.resolve(op, result);
-}
-
-void RandomStrategy::on_reverse_reply(util::NodeId /*origin*/,
-                                      const ReverseReplyMsg& msg) {
-    // Sampling-mode lookups reply along the walk's reverse path.
-    if (ops_.find(msg.op)) {
-        finish(msg.op, true, msg.value);
-    }
-}
-
-// ---------------- sampling mode ----------------
-
-void RandomStrategy::launch_sampling_walks(util::AccessId op,
-                                           util::NodeId origin) {
-    auto entry = ops_.find(op);
-    const std::size_t n = ctx_.world.params().n;
-    const std::size_t length = config_.sampling_walk_length != 0
-                                   ? config_.sampling_walk_length
-                                   : std::max<std::size_t>(1, n / 2);
-    const std::size_t count = config_.quorum_size;
-    entry->state.targets.resize(count);  // walk bookkeeping only
-    for (std::size_t i = 0; i < count; ++i) {
-        auto msg = std::make_shared<SamplingWalkMsg>();
-        msg->trace = entry->state.trace;
-        msg->strategy_tag = tag_;
-        msg->op = op;
-        msg->kind = entry->state.kind;
-        msg->key = entry->state.key;
-        msg->value = entry->state.value;
-        msg->remaining = length;
-        msg->probe = entry->state.probe;
-        msg->reply_options = ReplyOptions{
-            config_.reply_path_reduction, config_.reply_local_repair,
-            config_.reply_repair_ttl, config_.reply_global_repair_fallback,
-            config_.cache_replies};
-        sampling_visit(origin, std::move(msg));
-    }
-}
-
-void RandomStrategy::sampling_visit(
-    util::NodeId at, std::shared_ptr<const SamplingWalkMsg> msg) {
-    auto stamped = std::make_shared<SamplingWalkMsg>(*msg);
-    if (stamped->path.empty() || stamped->path.back() != at) {
-        stamped->path.push_back(at);
-    }
-    if (stamped->remaining == 0) {
-        sampling_terminal(at, std::move(stamped));
-        return;
-    }
-    sampling_forward(at, std::move(stamped), config_.salvage_retries);
-}
-
-void RandomStrategy::sampling_forward(
-    util::NodeId at, std::shared_ptr<const SamplingWalkMsg> msg,
-    int salvage_left) {
-    // awake(), not alive(): an asleep node's radio cannot forward either —
-    // the walk terminates where it stands, same as on a crashed node.
-    if (!ctx_.world.awake(at)) {
-        sampling_terminal(at, std::move(msg));  // walk dies where it stands
-        return;
-    }
-    net::NodeStack& stack = ctx_.world.stack(at);
-    const std::vector<util::NodeId> neighbors = stack.neighbors();
-    if (neighbors.empty()) {
-        sampling_terminal(at, std::move(msg));
-        return;
-    }
-    // Maximum-degree transition: uniform neighbor w.p. deg/d_max, else a
-    // (free) self-loop. d_max is estimated from the target density.
-    const std::size_t d_max = std::max<std::size_t>(
-        neighbors.size(),
-        static_cast<std::size_t>(
-            std::ceil(3.0 * ctx_.world.params().avg_degree)));
-    const std::size_t slot = rng_.index(d_max);
-    auto next = std::make_shared<SamplingWalkMsg>(*msg);
-    next->remaining = msg->remaining - 1;
-    if (slot >= neighbors.size()) {
-        if (next->remaining == 0) {
-            sampling_terminal(at, std::move(next));
-            return;
-        }
-        // pqs-lint: fire-and-forget(walk continuation owns its message via
-        // shared_ptr; sampling_visit re-validates liveness at the next hop)
-        ctx_.world.simulator().schedule_in(
-            1 * sim::kMillisecond,
-            [this, at, next] { sampling_visit(at, next); });
-        return;
-    }
-    const util::NodeId next_hop = neighbors[slot];
-    stack.send_unicast(next_hop, next,
-                       [this, at, msg, salvage_left](bool ok) {
-                           if (ok || salvage_left <= 0) {
-                               return;
-                           }
-                           // RW salvation (§6.2).
-                           sampling_forward(at, msg, salvage_left - 1);
-                       });
-}
-
-void RandomStrategy::sampling_terminal(
-    util::NodeId at, std::shared_ptr<const SamplingWalkMsg> msg) {
-    LocalStore& store = ctx_.store(at);
-    ctx_.count_load(at);
-    obs::record(msg->trace, obs::EventKind::kQuorumMemberReached, at);
-    if (msg->kind == AccessKind::kAdvertise) {
-        ctx_.store_value(at, msg->key, msg->value, /*monotonic=*/false);
-    } else if (const std::optional<Value> found = store.find(msg->key)) {
-        if (msg->probe) {
-            msg->probe->intersected = true;
-        }
-        ctx_.reply_router->start_reply(at, tag_, msg->op, msg->key, *found,
-                                       msg->path, msg->reply_options,
-                                       std::make_shared<ReplyTracker>(),
-                                       msg->trace);
-    }
-    auto entry = ops_.find(msg->op);
-    if (!entry) {
-        return;
-    }
-    OpState& state = entry->state;
-    ++state.walks_ended;
-    if (state.walks_ended < state.targets.size()) {
-        return;
-    }
-    if (state.kind == AccessKind::kAdvertise) {
-        finish(msg->op, true, 0);
-    } else if (state.grace_timer == sim::kInvalidEvent) {
-        state.grace_timer = ctx_.world.simulator().schedule_in(
-            kReplyGrace, [this, op = msg->op] {
-                if (auto e = ops_.find(op)) {
-                    e->state.grace_timer = sim::kInvalidEvent;
-                }
-                finish(op, false, 0);
-            });
-    }
 }
 
 }  // namespace pqs::core

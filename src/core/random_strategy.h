@@ -1,9 +1,9 @@
-// RANDOM access strategy (§4.1): the quorum is a uniformly random node set.
-// Two implementations, as in the paper:
-//  - membership-based: targets come from a membership service view and are
-//    contacted through AODV unicast routing;
-//  - sampling-based: each quorum member is reached by a maximum-degree
-//    random walk of ~mixing-time length (no routing, no membership).
+// RANDOM access strategy (§4.1), membership-based: the quorum is a
+// uniformly random node set drawn from the origin's membership view, and
+// each member is contacted through AODV unicast routing. The paper's other
+// implementation, sampling-based RANDOM over mixing-time max-degree walks,
+// exists only as a closed form (core/theory.h, Fig. 3); its simulations
+// run this one.
 #pragma once
 
 #include <memory>
@@ -15,30 +15,25 @@ namespace pqs::core {
 
 class RandomStrategy final : public AccessStrategy {
 public:
-    enum class Mode { kMembership, kSampling };
-
+    // Throws std::invalid_argument when ctx.membership is null.
     RandomStrategy(ServiceContext& ctx, StrategyConfig config,
-                   std::uint32_t tag, Mode mode);
+                   std::uint32_t tag);
     // Cancels the reply-grace timers of still-pending ops: their events
     // capture `this` and must not outlive the strategy.
     ~RandomStrategy() override;
 
-    std::string name() const override;
+    std::string name() const override { return "RANDOM"; }
     void attach_node(util::NodeId id) override;
     void access(AccessKind kind, util::NodeId origin, util::Key key,
                 Value value, obs::TraceId trace,
                 AccessCallback done) override;
-    // Directed access (membership mode): contacts the given targets
-    // (truncated/topped-up to the configured quorum size) with §6.2
-    // replacements disabled, so a dead cached target genuinely misses
-    // instead of being silently healed. Sampling mode has no addressable
-    // targets and falls back to a plain access.
+    // Directed access: contacts the given targets (truncated to the
+    // configured quorum size) with §6.2 replacements disabled, so a dead
+    // cached target genuinely misses instead of being silently healed.
     void access_directed(AccessKind kind, util::NodeId origin, util::Key key,
                          Value value,
                          const std::vector<util::NodeId>& targets,
                          obs::TraceId trace, AccessCallback done) override;
-    void on_reverse_reply(util::NodeId origin,
-                          const ReverseReplyMsg& msg) override;
 
 private:
     struct OpState {
@@ -58,13 +53,10 @@ private:
         std::vector<util::NodeId> responder_ids;
         int replacements_left = 0;     // §6.2 application adaptation
         bool all_sent = false;
-        std::size_t walks_ended = 0;  // sampling mode
         sim::EventId grace_timer = sim::kInvalidEvent;
         obs::TraceId trace = 0;
     };
 
-    std::vector<util::NodeId> pick_targets(util::NodeId origin,
-                                           std::size_t k);
     // Issues the op's already-chosen target list (serial or parallel).
     void launch_targets(util::AccessId op, util::NodeId origin);
     void send_to_target(util::AccessId op, util::NodeId origin,
@@ -74,20 +66,7 @@ private:
     void maybe_finish(util::AccessId op);
     void finish(util::AccessId op, bool hit, Value value);
 
-    // Sampling mode.
-    void launch_sampling_walks(util::AccessId op, util::NodeId origin);
-    struct SamplingWalkMsg;
-    void sampling_visit(util::NodeId at,
-                        std::shared_ptr<const SamplingWalkMsg> msg);
-    void sampling_forward(util::NodeId at,
-                          std::shared_ptr<const SamplingWalkMsg> msg,
-                          int salvage_left);
-    void sampling_terminal(util::NodeId at,
-                           std::shared_ptr<const SamplingWalkMsg> msg);
-
-    Mode mode_;
     OpTable<OpState> ops_;
-    util::Rng rng_;
 };
 
 }  // namespace pqs::core

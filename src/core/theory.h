@@ -198,7 +198,7 @@ double md_mixing_time(std::size_t n);
 
 enum class StrategyKind {
     kRandom,          // membership-based RANDOM
-    kRandomSampling,  // sampling-based RANDOM (MD walks)
+    kRandomSampling,  // sampling-based RANDOM (MD walks); closed form only
     kRandomOpt,
     kPath,
     kUniquePath,

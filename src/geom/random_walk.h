@@ -1,7 +1,8 @@
 // Graph-level random walks (§4.2, §4.3, Appendix A/B):
 //  - simple random walk (PATH strategy),
 //  - self-avoiding random walk (UNIQUE-PATH strategy),
-//  - maximum-degree random walk (uniform sampling, RaWMS-style RANDOM).
+//  - maximum-degree random walk (uniform sampling; the model behind
+//    sampling-based RANDOM's closed form, core/theory.h).
 // Plus measurement helpers for partial cover time (Theorem 4.1 / Fig. 4)
 // and crossing time (Theorem 5.5).
 //

@@ -105,9 +105,8 @@ public:
     }
 
     // The registry fields bumped outside the kernel: transmissions by
-    // packet category, membership walk hops, load accounting, Byzantine
-    // tampers, lease expirations and deferred refreshes. Merged into
-    // kernel_stats().
+    // packet category, load accounting, Byzantine tampers, lease
+    // expirations and deferred refreshes. Merged into kernel_stats().
     util::KernelStats& counters() { return counters_; }
 
     // Counts one transmission of `p` in its category's tx field. Both link

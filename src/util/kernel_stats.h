@@ -1,12 +1,12 @@
 // The simulator's single counter registry: the event queue
 // (schedule/fire/cancel, heap ops, slab recycling), the spatial grid
 // (queries, candidate scans, moves), the packet pool, and the counters
-// bumped above the kernel — transmissions by packet category, membership
-// walk hops, load accounting, Byzantine tampers, energy and leases. Every
-// counter is driven purely by simulation behaviour, so for a fixed seed
-// the whole block is deterministic — bench and regression harnesses
-// assert on it verbatim, while wall-clock time stays a separate,
-// informational measurement.
+// bumped above the kernel — transmissions by packet category, load
+// accounting, Byzantine tampers, energy and leases. Every counter is
+// driven purely by simulation behaviour, so for a fixed seed the whole
+// block is deterministic — bench and regression harnesses assert on it
+// verbatim, while wall-clock time stays a separate, informational
+// measurement.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +44,7 @@ namespace pqs::util {
     X(refreshes_deferred) /* refresher ticks deferred: owner asleep */    \
     X(hello_tx)          /* neighbor-discovery hellos sent on air */      \
     X(routing_tx)        /* AODV RREQ/RREP/RERR sent on air */            \
-    X(data_tx)           /* data packets sent on air, one per hop */      \
-    X(membership_msgs)   /* RaWMS walk hops sent */
+    X(data_tx)           /* data packets sent on air, one per hop */
 
 struct KernelStats {
 #define PQS_KERNEL_STATS_DECL(field) std::uint64_t field = 0;

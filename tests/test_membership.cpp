@@ -1,10 +1,8 @@
 #include "membership/oracle_membership.h"
-#include "membership/rawms.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 
 namespace pqs::membership {
@@ -101,68 +99,6 @@ TEST(OracleMembership, ApproximatelyUniform) {
     for (const int c : counts) {
         EXPECT_GT(c, 40);
         EXPECT_LT(c, 180);
-    }
-}
-
-TEST(Rawms, PrefilledViewsHaveTargetSize) {
-    net::World w(world_params(80));
-    RawmsParams p;
-    p.prefill = true;
-    RawmsMembership m(w, p);
-    m.start();
-    std::size_t filled = 0;
-    for (util::NodeId id = 0; id < 80; ++id) {
-        filled += m.view_size(id);
-    }
-    // n * view_size deposits spread over n views (dedup loses a few).
-    EXPECT_GT(filled, 80 * default_view_size(80) / 2);
-}
-
-TEST(Rawms, SampleReturnsDistinct) {
-    net::World w(world_params(80));
-    RawmsMembership m(w);
-    m.start();
-    const auto sample = m.sample(5, 8);
-    std::set<util::NodeId> unique(sample.begin(), sample.end());
-    EXPECT_EQ(unique.size(), sample.size());
-    EXPECT_GE(sample.size(), 1u);
-}
-
-TEST(Rawms, ProtocolDepositsOverTime) {
-    net::World w(world_params(60, 5));
-    w.start();
-    RawmsParams p;
-    p.prefill = false;           // start cold: only protocol traffic fills
-    p.walk_length = 30;          // n/2
-    p.advertise_period = 5 * sim::kSecond;
-    RawmsMembership m(w, p);
-    m.start();
-    EXPECT_EQ(m.view_size(0), 0u);
-    w.simulator().run_until(60 * sim::kSecond);
-    std::size_t filled = 0;
-    for (util::NodeId id = 0; id < 60; ++id) {
-        filled += m.view_size(id);
-    }
-    EXPECT_GT(filled, 60u);  // walks deposited ids across the network
-    EXPECT_GT(m.protocol_messages(), 0.0);
-}
-
-TEST(Rawms, DepositsApproximatelyUniformOverPrefill) {
-    net::World w(world_params(100, 9));
-    RawmsMembership m(w);
-    m.start();
-    // Count how often each node appears across all views.
-    std::vector<int> appearances(100, 0);
-    int total = 0;
-    for (util::NodeId id = 0; id < 100; ++id) {
-        for (const util::NodeId member : m.sample(id, 1000)) {
-            ++appearances[member];
-            ++total;
-        }
-    }
-    // No node should dominate: uniform share is 1%, allow 5x.
-    for (const int a : appearances) {
-        EXPECT_LT(a, total / 15);
     }
 }
 

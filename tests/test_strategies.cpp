@@ -4,6 +4,8 @@
 // keys, early halting, cross-layer behaviours.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/location_service.h"
 #include "membership/oracle_membership.h"
 
@@ -18,14 +20,18 @@ struct Services {
 
 Services build(StrategyKind advertise, StrategyKind lookup, std::size_t n,
                std::uint64_t seed = 1,
-               std::function<void(BiquorumSpec&)> tweak = {}) {
+               std::function<void(BiquorumSpec&)> tweak = {},
+               bool with_membership = true) {
     Services s;
     net::WorldParams wp;
     wp.n = n;
     wp.seed = seed;
     wp.oracle_neighbors = true;
     s.world = std::make_unique<net::World>(wp);
-    s.membership = std::make_unique<membership::OracleMembership>(*s.world);
+    if (with_membership) {
+        s.membership =
+            std::make_unique<membership::OracleMembership>(*s.world);
+    }
     BiquorumSpec spec;
     spec.advertise.kind = advertise;
     spec.lookup.kind = lookup;
@@ -110,24 +116,6 @@ TEST(RandomSerial, EarlyHaltsOnFirstHit) {
     // Serial access stops early: fewer targets contacted than the quorum.
     EXPECT_LT(look.nodes_contacted,
               s.service->biquorum().spec().lookup.quorum_size);
-}
-
-// ---- RANDOM(sampling): MD walks instead of routing ----
-
-TEST(RandomSampling, AdvertiseThenHitWithoutRouting) {
-    Services s = build(StrategyKind::kRandomSampling,
-                       StrategyKind::kRandomSampling, 50, 3,
-                       [](BiquorumSpec& spec) {
-                           spec.advertise.sampling_walk_length = 25;
-                           spec.lookup.sampling_walk_length = 25;
-                       });
-    const AccessResult adv = run_advertise(s, 3, 5, 50);
-    EXPECT_TRUE(adv.ok);
-    const AccessResult look = run_lookup(s, 30, 5);
-    EXPECT_TRUE(look.ok);
-    EXPECT_EQ(look.value, 50u);
-    // Sampling never invokes AODV.
-    EXPECT_EQ(s.world->kernel_stats().routing_tx, 0u);
 }
 
 // ---- RANDOM-OPT (§4.5) ----
@@ -343,6 +331,51 @@ INSTANTIATE_TEST_SUITE_P(
                               StrategyKind::kRandom},
                       MixCase{StrategyKind::kFlooding,
                               StrategyKind::kRandom}));
+
+// ---- Configurations the strategies refuse ----
+
+TEST(MakeStrategy, RandomSamplingHasOnlyAClosedForm) {
+    for (const MixCase mix :
+         {MixCase{StrategyKind::kRandomSampling, StrategyKind::kRandom},
+          MixCase{StrategyKind::kRandom, StrategyKind::kRandomSampling}}) {
+        EXPECT_THROW(build(mix.advertise, mix.lookup, 30),
+                     std::invalid_argument);
+    }
+}
+
+// RANDOM and RANDOM-OPT draw their targets from a membership view.
+class NullMembership : public ::testing::TestWithParam<MixCase> {};
+
+TEST_P(NullMembership, RandomSideRefuses) {
+    const auto [adv_kind, lkp_kind] = GetParam();
+    EXPECT_THROW(build(adv_kind, lkp_kind, 30, 1, {},
+                       /*with_membership=*/false),
+                 std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomSides, NullMembership,
+    ::testing::Values(MixCase{StrategyKind::kRandom,
+                              StrategyKind::kUniquePath},
+                      MixCase{StrategyKind::kUniquePath,
+                              StrategyKind::kRandom},
+                      MixCase{StrategyKind::kRandomOpt,
+                              StrategyKind::kFlooding},
+                      MixCase{StrategyKind::kFlooding,
+                              StrategyKind::kRandomOpt}));
+
+// Walks and floods never read the view, so they run without one.
+TEST(NullMembershipWalks, UniquePathFloodingRoundTrip) {
+    Services s = build(StrategyKind::kUniquePath, StrategyKind::kFlooding,
+                       60, 20,
+                       [](BiquorumSpec& spec) { spec.lookup.flood_ttl = 4; },
+                       /*with_membership=*/false);
+    const AccessResult adv = run_advertise(s, 1, 123, 1230);
+    EXPECT_TRUE(adv.ok);
+    const AccessResult look = run_lookup(s, 35, 123);
+    EXPECT_TRUE(look.ok);
+    EXPECT_EQ(look.value, 1230u);
+}
 
 }  // namespace
 }  // namespace pqs::core
