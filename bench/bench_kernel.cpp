@@ -10,7 +10,10 @@
 //      reclamation and SpatialGrid::move/query under a mobility-like
 //      workload.
 //   3. e2e_unique_path_n200 (meso): one full-stack n=200 mobile scenario
-//      with RANDOM advertise x UNIQUE-PATH lookup (the Fig. 10 shape).
+//      with RANDOM advertise x UNIQUE-PATH lookup (the Fig. 10 shape), and
+//      e2e_80211_n80: the same strategies at n=80 on the paper's §8 stack
+//      (SINR PHY + CSMA/CA MAC), shaped like perfbench's
+//      paper_walks_80211 workload.
 //
 // Emits BENCH_kernel.json (schema documented in EXPERIMENTS.md): all
 // counters are deterministic for the fixed seeds baked in here; only the
@@ -291,6 +294,57 @@ core::ScenarioParams e2e_params(bool smoke) {
     return p;
 }
 
+// ---------------------------------------------------------------------
+// 5. e2e_80211_n80 — the paper's §8 stack at full fidelity
+// ---------------------------------------------------------------------
+
+core::ScenarioParams e2e_80211_params(bool smoke) {
+    core::ScenarioParams p;
+    p.world.n = 80;
+    p.world.seed = 42;
+    p.world.fidelity = net::Fidelity::kFull;
+    p.world.mobile = true;
+    p.world.oracle_neighbors = false;
+    p.world.waypoint.min_speed = 0.5;
+    p.world.waypoint.max_speed = 2.0;
+    p.world.waypoint.pause = 30 * sim::kSecond;
+    p.world.heartbeat = 10 * sim::kSecond;
+    p.warmup = 15 * sim::kSecond;
+    p.op_spacing = 100 * sim::kMillisecond;
+    p.advertise_count = 10;
+    p.lookup_count = smoke ? 40 : 600;
+    p.lookup_nodes = 25;
+    p.spec.eps = 0.05;
+    p.spec.advertise.kind = core::StrategyKind::kRandom;
+    p.spec.lookup.kind = core::StrategyKind::kUniquePath;
+    p.spec.lookup.reply_local_repair = true;
+    p.spec.lookup.reply_repair_ttl = 3;
+    p.spec.lookup.reply_global_repair_fallback = true;
+    return p;
+}
+
+BenchRecord run_e2e(const std::string& name, const core::ScenarioParams& p) {
+    const double start = now_seconds();
+    const core::ScenarioResult r = core::run_scenario(p);
+    const double wall = now_seconds() - start;
+    BenchRecord rec;
+    rec.name = name;
+    rec.impl = "full_stack";
+    rec.work_items = r.kernel.events_fired;
+    rec.wall_seconds = wall;
+    rec.items_per_second = static_cast<double>(rec.work_items) / wall;
+    rec.counters = counter_list(r.kernel);
+    rec.counters.emplace_back(
+        "hits_x1000",
+        static_cast<std::uint64_t>(std::lround(1000.0 * r.hit_ratio)));
+    rec.counters.emplace_back(
+        "arena_high_water", static_cast<std::uint64_t>(r.arena_high_water));
+    std::printf("  %s: %.3g sim events/s (%llu events, hit=%.3f)\n",
+                name.c_str(), rec.items_per_second,
+                static_cast<unsigned long long>(rec.work_items), r.hit_ratio);
+    return rec;
+}
+
 }  // namespace
 }  // namespace pqs::bench
 
@@ -321,7 +375,7 @@ int main(int argc, char** argv) {
     const std::size_t grid_rounds = smoke ? 20 : 200;
 
     std::printf("bench_kernel (%s): event churn %llu fired, grid n=%zu "
-                "x %zu rounds, e2e n=200 UNIQUE-PATH\n",
+                "x %zu rounds, e2e n=200 UNIQUE-PATH, e2e n=80 802.11\n",
                 smoke ? "smoke" : "full",
                 static_cast<unsigned long long>(churn_fired), grid_n,
                 grid_rounds);
@@ -426,31 +480,9 @@ int main(int argc, char** argv) {
                         grid.stats.grid_cell_crossings));
     }
 
-    // --- 4. e2e scenario ---
-    {
-        const double start = now_seconds();
-        const core::ScenarioResult r = core::run_scenario(e2e_params(smoke));
-        const double wall = now_seconds() - start;
-        BenchRecord rec;
-        rec.name = "e2e_unique_path_n200";
-        rec.impl = "full_stack";
-        rec.work_items = r.kernel.events_fired;
-        rec.wall_seconds = wall;
-        rec.items_per_second = static_cast<double>(rec.work_items) / wall;
-        rec.counters = counter_list(r.kernel);
-        rec.counters.emplace_back(
-            "hits_x1000",
-            static_cast<std::uint64_t>(std::lround(1000.0 * r.hit_ratio)));
-        rec.counters.emplace_back(
-            "arena_high_water",
-            static_cast<std::uint64_t>(r.arena_high_water));
-        records.push_back(rec);
-        std::printf("  e2e_unique_path_n200: %.3g sim events/s "
-                    "(%llu events, hit=%.3f)\n",
-                    rec.items_per_second,
-                    static_cast<unsigned long long>(rec.work_items),
-                    r.hit_ratio);
-    }
+    // --- 4. e2e scenarios ---
+    records.push_back(run_e2e("e2e_unique_path_n200", e2e_params(smoke)));
+    records.push_back(run_e2e("e2e_80211_n80", e2e_80211_params(smoke)));
 
     // --- emit JSON ---
     JsonWriter json;

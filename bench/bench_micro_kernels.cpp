@@ -1,6 +1,7 @@
-// Microbenchmarks of the hot simulation kernels (google-benchmark):
-// event queue, spatial-grid queries, random-walk stepping, SINR frame
-// processing, and one end-to-end mini-scenario.
+// Microbenchmarks of the hot simulation kernels (google-benchmark): RNG
+// draws, the event queue, spatial-grid queries, random-walk stepping,
+// two-ray propagation, and one end-to-end mini-scenario. The SINR PHY and
+// the MAC are measured end to end by bench_kernel's e2e_80211_n80 row.
 #include <benchmark/benchmark.h>
 
 #include "core/scenario.h"

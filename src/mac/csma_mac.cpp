@@ -1,6 +1,7 @@
 #include "mac/csma_mac.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -150,21 +151,25 @@ void CsmaMac::finish_head(bool success) {
 }
 
 void CsmaMac::send_ack(util::NodeId to, std::uint32_t mac_seq) {
-    phy::Frame ack;
-    ack.src = self_;
-    ack.dst = to;
-    ack.bytes = params_.ack_bytes;
-    ack.is_ack = true;
-    ack.mac_seq = mac_seq;
-    ack.frame_id = channel_.next_frame_id();
+    const std::uint64_t frame_id = channel_.next_frame_id();
     const sim::Time duration = frame_duration(params_.ack_bytes, true);
     const std::uint64_t gen = generation_;
     // Acks go out after SIFS without contention (they win over DIFS waits).
+    // The closure carries the ack's fields, not a built Frame, so it fits
+    // the event's inline buffer.
     // pqs-lint: fire-and-forget(generation check orphans the ack after
     // shutdown(), which the destructor runs; stale timers are no-ops)
-    simulator_.schedule_in(params_.sifs, [this, gen, ack, duration] {
+    simulator_.schedule_in(params_.sifs, [this, gen, to, mac_seq, frame_id,
+                                          duration] {
         if (gen == generation_) {
-            channel_.transmit(self_, ack, duration);
+            phy::Frame ack;
+            ack.frame_id = frame_id;
+            ack.src = self_;
+            ack.dst = to;
+            ack.bytes = params_.ack_bytes;
+            ack.is_ack = true;
+            ack.mac_seq = mac_seq;
+            channel_.transmit(self_, std::move(ack), duration);
             if (tx_airtime_) {
                 tx_airtime_(sim::to_seconds(duration));
             }

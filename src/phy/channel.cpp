@@ -1,5 +1,7 @@
 #include "phy/channel.h"
 
+#include <utility>
+
 namespace pqs::phy {
 
 Channel::Channel(sim::Simulator& simulator, const PositionProvider& positions,
@@ -11,32 +13,48 @@ Channel::Channel(sim::Simulator& simulator, const PositionProvider& positions,
       cutoff_m_(two_ray_range_for_threshold(propagation,
                                             thresholds.noise_floor_mw)) {}
 
-void Channel::attach(util::NodeId id, Radio* radio) { radios_[id] = radio; }
+void Channel::attach(util::NodeId id, Radio* radio) {
+    if (radios_.size() <= id) {
+        radios_.resize(static_cast<std::size_t>(id) + 1, nullptr);
+    }
+    radios_[id] = radio;
+}
 
-void Channel::detach(util::NodeId id) { radios_.erase(id); }
+void Channel::detach(util::NodeId id) {
+    if (id < radios_.size()) {
+        radios_[id] = nullptr;
+    }
+}
 
+Channel::Batch* Channel::acquire_batch() {
+    if (free_batches_.empty()) {
+        return &batches_.emplace_back();
+    }
+    Batch* batch = free_batches_.back();
+    free_batches_.pop_back();
+    return batch;
+}
+
+// pqs-hot: every frame the MAC puts on the air, hellos and acks included.
 void Channel::transmit(util::NodeId src, Frame frame, sim::Time duration) {
     if (frame.frame_id == 0) {
         frame.frame_id = next_frame_id();
     }
     const geom::Vec2 origin = positions_.position(src);
 
-    if (auto it = radios_.find(src); it != radios_.end()) {
-        Radio* tx_radio = it->second;
-        tx_radio->begin_transmit();
-        // pqs-lint: fire-and-forget(radios register for the channel's whole
-        // lifetime; end_transmit just flips the carrier state back)
-        simulator_.schedule_in(duration,
-                               [tx_radio] { tx_radio->end_transmit(); });
+    Batch* batch = acquire_batch();
+    batch->sender = src < radios_.size() ? radios_[src] : nullptr;
+    if (batch->sender != nullptr) {
+        batch->sender->begin_transmit();
     }
 
-    std::vector<util::NodeId> listeners;
-    positions_.nodes_within(origin, cutoff_m_, listeners, src);
-    for (const util::NodeId id : listeners) {
-        const auto it = radios_.find(id);
+    nearby_.clear();
+    positions_.nodes_within(origin, cutoff_m_, nearby_, src);
+    for (const util::NodeId id : nearby_) {
+        Radio* radio = id < radios_.size() ? radios_[id] : nullptr;
         // awake, not alive: a sleeping radio hears nothing (it neither
         // receives nor interferes-locks on quorum probes).
-        if (it == radios_.end() || !positions_.awake(id)) {
+        if (radio == nullptr || !positions_.awake(id)) {
             continue;
         }
         const double d = geom::distance(origin, positions_.position(id));
@@ -47,14 +65,36 @@ void Channel::transmit(util::NodeId src, Frame frame, sim::Time duration) {
         if (power < thresholds_.noise_floor_mw) {
             continue;
         }
-        Radio* radio = it->second;
         radio->frame_begin(frame, power);
-        const std::uint64_t frame_id = frame.frame_id;
-        // pqs-lint: fire-and-forget(frame_end is keyed by frame_id, so a
-        // stale event misses; radios outlive the channel's event horizon)
-        simulator_.schedule_in(
-            duration, [radio, frame_id] { radio->frame_end(frame_id); });
+        batch->listeners.push_back(radio);
     }
+
+    // Only listeners read the frame at the end; without any, the payload
+    // goes back to its owner now rather than at the end of the airtime.
+    if (!batch->listeners.empty()) {
+        batch->frame = std::move(frame);
+    }
+    // pqs-lint: fire-and-forget(the batch lives in the channel and its
+    // radios register for the channel's whole lifetime; the event ends the
+    // transmission it was scheduled for and recycles the batch)
+    simulator_.schedule_in(duration,
+                           [this, batch] { end_transmission(batch); });
+}
+
+// pqs-hot: one call per transmission ends it at the sender and every
+// listener.
+void Channel::end_transmission(Batch* batch) {
+    if (batch->sender != nullptr) {
+        batch->sender->end_transmit();
+    }
+    // A listener's handler may transmit: that takes another batch, and
+    // this one is not on the free list until the walk is over.
+    for (Radio* radio : batch->listeners) {
+        radio->frame_end(batch->frame);
+    }
+    batch->frame.payload.reset();
+    batch->listeners.clear();
+    free_batches_.push_back(batch);
 }
 
 }  // namespace pqs::phy

@@ -1,13 +1,13 @@
 // Shared wireless medium: when a node transmits, the channel computes the
-// received power at every radio within the interference cutoff (two-ray
-// model) and schedules frame_begin/frame_end at each of them. Propagation
+// received power at every awake radio within the interference cutoff
+// (two-ray model) and starts the frame at each of them. One event at the
+// frame's end time then ends the transmission everywhere: the sender's
+// radio first, then each listener in the order it was reached. Propagation
 // delay is ignored (sub-microsecond at these ranges), as in SWANS.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <unordered_map>
+#include <deque>
 #include <vector>
 
 #include "geom/vec2.h"
@@ -40,10 +40,12 @@ public:
 
     // Registers the radio for a node; the channel does not own radios.
     void attach(util::NodeId id, Radio* radio);
+    // Stops the node's radio from hearing later transmissions. A frame
+    // already arriving at it still ends there.
     void detach(util::NodeId id);
 
     // Transmits `frame` from `src` for `duration`. The source radio is put
-    // in transmit state for the duration; every attached, alive radio
+    // in transmit state for the duration; every attached, awake radio
     // within the interference cutoff observes the frame.
     void transmit(util::NodeId src, Frame frame, sim::Time duration);
 
@@ -54,12 +56,29 @@ public:
     std::uint64_t next_frame_id() { return next_frame_id_++; }
 
 private:
+    // One transmission on the air: the frame, held once for all of its
+    // listeners, and the radios whose transmission or reception it ends.
+    struct Batch {
+        Frame frame;
+        Radio* sender = nullptr;
+        std::vector<Radio*> listeners;
+    };
+
+    Batch* acquire_batch();
+    void end_transmission(Batch* batch);
+
     sim::Simulator& simulator_;
     const PositionProvider& positions_;
     PropagationParams propagation_;
     RadioThresholds thresholds_;
     double cutoff_m_;
-    std::unordered_map<util::NodeId, Radio*> radios_;
+    std::vector<Radio*> radios_;  // by node id; nullptr when detached
+    std::vector<util::NodeId> nearby_;  // nodes_within scratch
+    // A receive handler may transmit while its batch is being ended, so
+    // batches live in a deque, whose elements keep their addresses as it
+    // grows, and are recycled through a free list.
+    std::deque<Batch> batches_;
+    std::vector<Batch*> free_batches_;
     std::uint64_t next_frame_id_ = 1;
 };
 

@@ -1,5 +1,7 @@
 #include "phy/radio.h"
 
+#include <algorithm>
+
 namespace pqs::phy {
 
 bool Radio::carrier_busy() const {
@@ -16,10 +18,17 @@ void Radio::begin_transmit() {
 
 void Radio::end_transmit() { transmitting_ = false; }
 
+std::vector<Radio::Arrival>::const_iterator Radio::find_arrival(
+    std::uint64_t frame_id) const {
+    return std::find_if(
+        inflight_.begin(), inflight_.end(),
+        [frame_id](const Arrival& a) { return a.frame_id == frame_id; });
+}
+
 double Radio::interference_for(std::uint64_t excluded_frame) const {
     double sum = thresholds_.noise_floor_mw;
-    for (const auto& [id, arrival] : inflight_) {
-        if (id != excluded_frame) {
+    for (const Arrival& arrival : inflight_) {
+        if (arrival.frame_id != excluded_frame) {
             sum += arrival.power_mw;
         }
     }
@@ -30,18 +39,18 @@ void Radio::update_locked_sinr() {
     if (!locked_ || locked_corrupted_) {
         return;
     }
-    const auto it = inflight_.find(locked_frame_);
+    const auto it = find_arrival(locked_frame_);
     if (it == inflight_.end()) {
         return;
     }
-    const double sinr = it->second.power_mw / interference_for(locked_frame_);
+    const double sinr = it->power_mw / interference_for(locked_frame_);
     if (sinr < thresholds_.sinr_capture) {
         locked_corrupted_ = true;
     }
 }
 
 void Radio::frame_begin(const Frame& frame, double rx_power_mw) {
-    inflight_.emplace(frame.frame_id, Arrival{frame, rx_power_mw});
+    inflight_.push_back(Arrival{frame.frame_id, rx_power_mw});
     total_power_mw_ += rx_power_mw;
 
     if (!locked_ && !transmitting_ &&
@@ -58,28 +67,28 @@ void Radio::frame_begin(const Frame& frame, double rx_power_mw) {
     update_locked_sinr();
 }
 
-void Radio::frame_end(std::uint64_t frame_id) {
-    const auto it = inflight_.find(frame_id);
+void Radio::frame_end(const Frame& frame) {
+    const auto it = find_arrival(frame.frame_id);
     if (it == inflight_.end()) {
         return;
     }
-    const Arrival arrival = it->second;
-    total_power_mw_ -= arrival.power_mw;
+    const double power_mw = it->power_mw;
+    total_power_mw_ -= power_mw;
     inflight_.erase(it);
     if (total_power_mw_ < 0.0) {
         total_power_mw_ = 0.0;  // guard against FP drift
     }
 
-    if (locked_ && frame_id == locked_frame_) {
+    if (locked_ && frame.frame_id == locked_frame_) {
         const bool ok = !locked_corrupted_ && !transmitting_;
         locked_ = false;
         if (energy_) {
-            energy_(arrival.frame);  // the receive chain ran either way
+            energy_(frame);  // the receive chain ran either way
         }
         if (ok) {
             ++frames_received_;
             if (handler_) {
-                handler_(arrival.frame, arrival.power_mw);
+                handler_(frame, power_mw);
             }
         } else {
             ++frames_corrupted_;

@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "phy/propagation.h"
 #include "sim/time.h"
@@ -60,7 +60,7 @@ public:
     // A frame starts arriving with the given received power.
     void frame_begin(const Frame& frame, double rx_power_mw);
     // The same frame stops arriving; delivers it upward on success.
-    void frame_end(std::uint64_t frame_id);
+    void frame_end(const Frame& frame);
 
     // Diagnostics.
     double inflight_power_mw() const { return total_power_mw_; }
@@ -68,6 +68,13 @@ public:
     std::uint64_t frames_corrupted() const { return frames_corrupted_; }
 
 private:
+    struct Arrival {
+        std::uint64_t frame_id;
+        double power_mw;
+    };
+
+    std::vector<Arrival>::const_iterator find_arrival(
+        std::uint64_t frame_id) const;
     double interference_for(std::uint64_t excluded_frame) const;
     void update_locked_sinr();
 
@@ -76,11 +83,9 @@ private:
     EnergyListener energy_;
     bool transmitting_ = false;
 
-    struct Arrival {
-        Frame frame;
-        double power_mw;
-    };
-    std::unordered_map<std::uint64_t, Arrival> inflight_;
+    // Frames arriving now, in arrival order. Rarely more than three, so
+    // lookups scan, and the interference sum adds in a fixed order.
+    std::vector<Arrival> inflight_;
     double total_power_mw_ = 0.0;
 
     bool locked_ = false;
