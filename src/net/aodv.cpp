@@ -5,6 +5,7 @@
 #include "net/node_stack.h"
 #include "net/world.h"
 #include "obs/trace.h"
+#include "util/check.h"
 #include "util/logging.h"
 
 namespace pqs::net {
@@ -16,10 +17,46 @@ std::uint64_t rreq_key(util::NodeId origin, std::uint32_t rreq_id) {
 
 // Sequence-number comparison (no wraparound handling; runs are short).
 bool seq_newer(util::SeqNum a, util::SeqNum b) { return a > b; }
+
+// First route whose dst is not below `dst` (const or mutable table).
+template <class Routes>
+auto lower_bound_dst(Routes& routes, util::NodeId dst) {
+    return std::partition_point(
+        routes.begin(), routes.end(),
+        [dst](const auto& route) { return route.dst < dst; });
+}
+
+template <class Routes>
+auto find_dst(Routes& routes, util::NodeId dst) -> decltype(routes.data()) {
+    const auto it = lower_bound_dst(routes, dst);
+    return it != routes.end() && it->dst == dst ? &*it : nullptr;
+}
 }  // namespace
 
 Aodv::Aodv(NodeStack& stack, AodvParams params)
     : stack_(stack), params_(params) {}
+
+Aodv::Route* Aodv::find_route(util::NodeId dst) {
+    return find_dst(routes_, dst);
+}
+
+const Aodv::Route* Aodv::find_route(util::NodeId dst) const {
+    return find_dst(routes_, dst);
+}
+
+std::vector<Aodv::Discovery>::iterator Aodv::find_pending(util::NodeId dst) {
+    return std::find_if(pending_.begin(), pending_.end(),
+                        [dst](const Discovery& d) { return d.dst == dst; });
+}
+
+Aodv::Discovery Aodv::take_pending(std::vector<Discovery>::iterator it) {
+    Discovery d = std::move(*it);
+    pending_.erase(it);
+    if (d.timer != sim::kInvalidEvent) {
+        stack_.world().simulator().cancel(d.timer);
+    }
+    return d;
+}
 
 bool Aodv::route_usable(const Route& route) const {
     return route.valid && route.expiry > stack_.world().simulator().now();
@@ -32,24 +69,13 @@ void Aodv::touch_route(Route& route) {
 }
 
 bool Aodv::has_valid_route(util::NodeId dst) const {
-    const auto it = routes_.find(dst);
-    return it != routes_.end() && route_usable(it->second);
-}
-
-std::size_t Aodv::valid_route_count() const {
-    std::size_t count = 0;
-    for (const auto& [dst, route] : routes_) {
-        if (route_usable(route)) {
-            ++count;
-        }
-    }
-    return count;
+    const Route* route = find_route(dst);
+    return route != nullptr && route_usable(*route);
 }
 
 std::uint16_t Aodv::route_hops(util::NodeId dst) const {
-    const auto it = routes_.find(dst);
-    return it != routes_.end() && route_usable(it->second) ? it->second.hops
-                                                           : 0;
+    const Route* route = find_route(dst);
+    return route != nullptr && route_usable(*route) ? route->hops : 0;
 }
 
 void Aodv::install_route(util::NodeId dst, util::NodeId next_hop,
@@ -58,7 +84,11 @@ void Aodv::install_route(util::NodeId dst, util::NodeId next_hop,
     if (dst == stack_.id()) {
         return;
     }
-    Route& route = routes_[dst];
+    auto it = lower_bound_dst(routes_, dst);
+    if (it == routes_.end() || it->dst != dst) {
+        it = routes_.insert(it, Route{.dst = dst});
+    }
+    Route& route = *it;
     // Prefer fresher sequence numbers; among equal freshness prefer fewer
     // hops; always replace an invalid route.
     const bool replace = !route_usable(route) ||
@@ -85,21 +115,29 @@ void Aodv::send_data(util::NodeId dst, AppMsgPtr msg,
         transmit_data(dst, std::move(msg), std::move(tracker), repairs);
         return;
     }
-    const obs::TraceId trace = msg ? msg->trace : 0;
-    auto [it, inserted] = pending_.try_emplace(dst);
-    it->second.queue.push_back(
-        QueuedData{std::move(msg), std::move(tracker), repairs});
-    if (inserted) {
-        obs::record(trace, obs::EventKind::kRouteDiscovery, stack_.id(), dst);
-        start_discovery(dst, max_discovery_ttl);
+    QueuedData queued{std::move(msg), std::move(tracker), repairs};
+    if (const auto it = find_pending(dst); it != pending_.end()) {
+        it->queue.push_back(std::move(queued));
+        return;
     }
+    const obs::TraceId trace = queued.msg ? queued.msg->trace : 0;
+    Discovery& d = pending_.emplace_back();
+    d.dst = dst;
+    d.max_ttl = max_discovery_ttl;
+    d.retries_left = max_discovery_ttl >= 0 ? 0 : params_.rreq_retries;
+    d.ttl = max_discovery_ttl >= 0
+                ? std::min(params_.ttl_start, max_discovery_ttl)
+                : params_.ttl_start;
+    d.queue.push_back(std::move(queued));
+    obs::record(trace, obs::EventKind::kRouteDiscovery, stack_.id(), dst);
+    broadcast_rreq(dst, d.ttl);
 }
 
 void Aodv::transmit_data(util::NodeId dst, AppMsgPtr msg,
                          std::shared_ptr<DeliveryTracker> tracker,
                          std::uint8_t repairs) {
-    const auto it = routes_.find(dst);
-    if (it == routes_.end() || !route_usable(it->second)) {
+    Route* route = find_route(dst);
+    if (route == nullptr || !route_usable(*route)) {
         obs::record(msg ? msg->trace : 0, obs::EventKind::kPacketDrop,
                     stack_.id(), dst);
         if (tracker) {
@@ -107,8 +145,8 @@ void Aodv::transmit_data(util::NodeId dst, AppMsgPtr msg,
         }
         return;
     }
-    touch_route(it->second);
-    const util::NodeId next_hop = it->second.next_hop;
+    touch_route(*route);
+    const util::NodeId next_hop = route->next_hop;
     auto packet = stack_.world().new_packet();
     packet->link_src = stack_.id();
     packet->link_dst = next_hop;
@@ -148,13 +186,13 @@ void Aodv::forward_data(PacketPtr p) {
         }
         return;
     }
-    const auto it = routes_.find(dst);
-    if (it == routes_.end() || !route_usable(it->second)) {
+    Route* route = find_route(dst);
+    if (route == nullptr || !route_usable(*route)) {
         // No route at an intermediate node: warn the neighborhood, then
         // try a local repair (rediscover from here) if budget remains.
         RerrBody rerr;
-        rerr.unreachable.emplace_back(
-            dst, it == routes_.end() ? 0 : it->second.seq);
+        rerr.unreachable.emplace_back(dst,
+                                      route == nullptr ? 0 : route->seq);
         auto out = stack_.world().new_packet();
         out->link_src = stack_.id();
         out->link_dst = kBroadcast;
@@ -173,8 +211,8 @@ void Aodv::forward_data(PacketPtr p) {
         }
         return;
     }
-    touch_route(it->second);
-    const util::NodeId next_hop = it->second.next_hop;
+    touch_route(*route);
+    const util::NodeId next_hop = route->next_hop;
     auto fwd = stack_.world().clone_packet(*p);
     fwd->link_src = stack_.id();
     fwd->link_dst = next_hop;
@@ -204,10 +242,10 @@ void Aodv::forward_data(PacketPtr p) {
 
 void Aodv::handle_broken_link(util::NodeId next_hop) {
     RerrBody rerr;
-    for (auto& [dst, route] : routes_) {
+    for (Route& route : routes_) {
         if (route.valid && route.next_hop == next_hop) {
             route.valid = false;
-            rerr.unreachable.emplace_back(dst, route.seq);
+            rerr.unreachable.emplace_back(route.dst, route.seq);
         }
     }
     if (rerr.unreachable.empty()) {
@@ -221,29 +259,17 @@ void Aodv::handle_broken_link(util::NodeId next_hop) {
     stack_.link_broadcast(std::move(p));
 }
 
-void Aodv::start_discovery(util::NodeId dst, int max_ttl) {
-    Discovery& d = pending_[dst];
-    d.max_ttl = max_ttl;
-    d.retries_left = max_ttl >= 0 ? 0 : params_.rreq_retries;
-    d.ttl = params_.ttl_start;
-    if (max_ttl >= 0) {
-        d.ttl = std::min(d.ttl, max_ttl);
-    }
-    broadcast_rreq(dst, d.ttl);
-}
-
 void Aodv::broadcast_rreq(util::NodeId dst, int ttl) {
     RreqBody rreq;
     rreq.origin = stack_.id();
     rreq.target = dst;
     rreq.origin_seq = ++my_seq_;
     rreq.rreq_id = next_rreq_id_++;
-    const auto it = routes_.find(dst);
-    if (it != routes_.end() && it->second.seq_known) {
-        rreq.target_seq = it->second.seq;
+    if (const Route* route = find_route(dst);
+        route != nullptr && route->seq_known) {
+        rreq.target_seq = route->seq;
         rreq.target_seq_unknown = false;
     }
-    rreq_seen_.insert(rreq_key(rreq.origin, rreq.rreq_id));
 
     auto p = stack_.world().new_packet();
     p->link_src = stack_.id();
@@ -252,15 +278,18 @@ void Aodv::broadcast_rreq(util::NodeId dst, int ttl) {
     p->body = rreq;
     stack_.link_broadcast(std::move(p));
 
-    Discovery& d = pending_[dst];
+    const auto it = find_pending(dst);
+    PQS_DCHECK(it != pending_.end(),
+               "aodv: node " << stack_.id() << " sent a RREQ for " << dst
+                             << " with no discovery in flight");
     const sim::Time wait =
         2 * static_cast<sim::Time>(ttl) * params_.node_traversal_time;
-    d.timer = stack_.world().simulator().schedule_in(
+    it->timer = stack_.world().simulator().schedule_in(
         wait, [this, dst] { discovery_timeout(dst); });
 }
 
 void Aodv::discovery_timeout(util::NodeId dst) {
-    const auto it = pending_.find(dst);
+    const auto it = find_pending(dst);
     if (it == pending_.end()) {
         return;
     }
@@ -268,7 +297,7 @@ void Aodv::discovery_timeout(util::NodeId dst) {
         discovery_succeeded(dst);
         return;
     }
-    Discovery& d = it->second;
+    Discovery& d = *it;
     int next_ttl = d.ttl;
     if (d.ttl < params_.ttl_threshold) {
         next_ttl = d.ttl + params_.ttl_increment;
@@ -293,16 +322,15 @@ void Aodv::discovery_timeout(util::NodeId dst) {
     broadcast_rreq(dst, d.ttl);
 }
 
+// Both ends of a discovery take it out of pending_ before walking its
+// queue: a tracker can resolve into an app callback that sends again and
+// appends to pending_, which may reallocate it.
 void Aodv::discovery_succeeded(util::NodeId dst) {
-    const auto it = pending_.find(dst);
+    const auto it = find_pending(dst);
     if (it == pending_.end()) {
         return;
     }
-    Discovery d = std::move(it->second);
-    if (d.timer != sim::kInvalidEvent) {
-        stack_.world().simulator().cancel(d.timer);
-    }
-    pending_.erase(it);
+    Discovery d = take_pending(it);
     for (auto& queued : d.queue) {
         transmit_data(dst, std::move(queued.msg), std::move(queued.tracker),
                       queued.repairs);
@@ -310,15 +338,11 @@ void Aodv::discovery_succeeded(util::NodeId dst) {
 }
 
 void Aodv::discovery_failed(util::NodeId dst) {
-    const auto it = pending_.find(dst);
+    const auto it = find_pending(dst);
     if (it == pending_.end()) {
         return;
     }
-    Discovery d = std::move(it->second);
-    if (d.timer != sim::kInvalidEvent) {
-        stack_.world().simulator().cancel(d.timer);
-    }
-    pending_.erase(it);
+    Discovery d = take_pending(it);
     PQS_DEBUG("aodv: node " << stack_.id() << " failed discovery of " << dst);
     for (auto& queued : d.queue) {
         obs::record(queued.msg ? queued.msg->trace : 0,
@@ -330,12 +354,26 @@ void Aodv::discovery_failed(util::NodeId dst) {
 }
 
 void Aodv::on_rreq(util::NodeId from, const RreqBody& body, int ttl) {
+    const sim::Time now = stack_.world().simulator().now();
+    // Forget ids first heard PATH_DISCOVERY_TIME ago or earlier (RFC 3561
+    // §6.3). Time only moves forward, so they form a prefix. Every RREQ
+    // heard prunes, a node's own echoed back by a neighbor included.
+    rreq_seen_.erase(rreq_seen_.begin(),
+                     std::find_if(rreq_seen_.begin(), rreq_seen_.end(),
+                                  [now](const SeenRreq& seen) {
+                                      return seen.expiry > now;
+                                  }));
     if (body.origin == stack_.id()) {
         return;
     }
-    if (!rreq_seen_.insert(rreq_key(body.origin, body.rreq_id)).second) {
+    // Copies of one RREQ arrive from each neighbor within milliseconds,
+    // so search newest first.
+    const std::uint64_t key = rreq_key(body.origin, body.rreq_id);
+    if (std::any_of(rreq_seen_.rbegin(), rreq_seen_.rend(),
+                    [key](const SeenRreq& seen) { return seen.key == key; })) {
         return;  // duplicate
     }
+    rreq_seen_.push_back({key, now + params_.path_discovery_time()});
     // Reverse route to the origin through the neighbor we heard this from.
     install_route(body.origin, from,
                   static_cast<std::uint16_t>(body.hop_count + 1),
@@ -354,18 +392,16 @@ void Aodv::on_rreq(util::NodeId from, const RreqBody& body, int ttl) {
     // Intermediate reply when we have a fresh-enough route — with enough
     // remaining lifetime that the data following the RREP will still find
     // it usable here.
-    const auto it = routes_.find(body.target);
+    const Route* route = find_route(body.target);
     const sim::Time min_remaining = 10 * params_.node_traversal_time;
-    if (it != routes_.end() && route_usable(it->second) &&
-        it->second.expiry - stack_.world().simulator().now() > min_remaining &&
-        it->second.seq_known &&
-        (body.target_seq_unknown || !seq_newer(body.target_seq,
-                                               it->second.seq))) {
+    if (route != nullptr && route_usable(*route) &&
+        route->expiry - now > min_remaining && route->seq_known &&
+        (body.target_seq_unknown || !seq_newer(body.target_seq, route->seq))) {
         RrepBody rrep;
         rrep.origin = body.origin;
         rrep.target = body.target;
-        rrep.target_seq = it->second.seq;
-        rrep.hop_count = it->second.hops;
+        rrep.target_seq = route->seq;
+        rrep.hop_count = route->hops;
         send_rrep_towards(body.origin, rrep);
         return;
     }
@@ -392,11 +428,11 @@ void Aodv::on_rreq(util::NodeId from, const RreqBody& body, int ttl) {
 }
 
 void Aodv::send_rrep_towards(util::NodeId origin, const RrepBody& body) {
-    const auto it = routes_.find(origin);
-    if (it == routes_.end() || !route_usable(it->second)) {
+    const Route* route = find_route(origin);
+    if (route == nullptr || !route_usable(*route)) {
         return;  // reverse route evaporated; the origin will retry
     }
-    const util::NodeId next_hop = it->second.next_hop;
+    const util::NodeId next_hop = route->next_hop;
     auto p = stack_.world().new_packet();
     p->link_src = stack_.id();
     p->link_dst = next_hop;
@@ -427,10 +463,9 @@ void Aodv::on_rrep(util::NodeId from, const RrepBody& body) {
 void Aodv::on_rerr(util::NodeId from, const RerrBody& body) {
     RerrBody propagated;
     for (const auto& [dst, seq] : body.unreachable) {
-        const auto it = routes_.find(dst);
-        if (it != routes_.end() && it->second.valid &&
-            it->second.next_hop == from) {
-            it->second.valid = false;
+        Route* route = find_route(dst);
+        if (route != nullptr && route->valid && route->next_hop == from) {
+            route->valid = false;
             propagated.unreachable.emplace_back(dst, seq);
         }
     }

@@ -9,12 +9,15 @@
 // supplied TTL cap for scoped discovery. Omitted: gratuitous RREPs,
 // precursor lists (RERRs are one-hop broadcasts re-propagated by affected
 // nodes) and local repair at intermediate nodes.
+//
+// Per-node state is flat. A node remembers each RREQ id for
+// PATH_DISCOVERY_TIME (RFC 3561 §6.3) in arrival order, so its memory
+// follows the recent RREQ rate, not the length of the run. Routes sit in
+// one vector sorted by destination id, so RERR lists ascend by id.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "net/packet.h"
 #include "sim/simulator.h"
@@ -35,6 +38,12 @@ struct AodvParams {
     sim::Time route_lifetime = 60 * sim::kSecond;
     // Random forwarding jitter applied before RREQ rebroadcast.
     sim::Time rreq_jitter = 10 * sim::kMillisecond;
+
+    // How long a node remembers an RREQ id: 2 * NET_TRAVERSAL_TIME, where
+    // NET_TRAVERSAL_TIME = 2 * node_traversal_time * net_diameter.
+    sim::Time path_discovery_time() const {
+        return 4 * node_traversal_time * net_diameter;
+    }
 };
 
 class Aodv {
@@ -59,15 +68,17 @@ public:
     void forward_data(PacketPtr p);
 
     bool has_valid_route(util::NodeId dst) const;
-    std::size_t valid_route_count() const;
     // Hop count of the valid route to dst (0 if none).
     std::uint16_t route_hops(util::NodeId dst) const;
+    // RREQ ids in the duplicate cache, expired ones not yet dropped.
+    std::size_t rreq_ids_held() const { return rreq_seen_.size(); }
 
 private:
     struct Route {
+        util::NodeId dst = util::kInvalidNode;
         util::NodeId next_hop = util::kInvalidNode;
-        std::uint16_t hops = 0;
         util::SeqNum seq = 0;
+        std::uint16_t hops = 0;
         bool seq_known = false;
         bool valid = false;
         sim::Time expiry = 0;
@@ -80,13 +91,27 @@ private:
     };
 
     struct Discovery {
+        util::NodeId dst = util::kInvalidNode;
         int ttl = 0;
         int retries_left = 0;
         int max_ttl = -1;  // -1: unrestricted
-        std::deque<QueuedData> queue;
+        std::vector<QueuedData> queue;
         sim::EventId timer = sim::kInvalidEvent;
     };
 
+    struct SeenRreq {
+        std::uint64_t key = 0;  // origin<<32 | rreq_id
+        sim::Time expiry = 0;   // first heard + PATH_DISCOVERY_TIME
+    };
+
+    // The route to dst, or null. Only install_route inserts, so the
+    // pointer is good until the next RREQ or RREP arrives.
+    Route* find_route(util::NodeId dst);
+    const Route* find_route(util::NodeId dst) const;
+    // The discovery in flight for dst, or pending_.end().
+    std::vector<Discovery>::iterator find_pending(util::NodeId dst);
+    // Removes a discovery from pending_, cancels its timer and returns it.
+    Discovery take_pending(std::vector<Discovery>::iterator it);
     bool route_usable(const Route& route) const;
     void touch_route(Route& route);
     void install_route(util::NodeId dst, util::NodeId next_hop,
@@ -94,7 +119,6 @@ private:
     void transmit_data(util::NodeId dst, AppMsgPtr msg,
                        std::shared_ptr<DeliveryTracker> tracker,
                        std::uint8_t repairs);
-    void start_discovery(util::NodeId dst, int max_ttl);
     void broadcast_rreq(util::NodeId dst, int ttl);
     void discovery_timeout(util::NodeId dst);
     void discovery_succeeded(util::NodeId dst);
@@ -104,9 +128,9 @@ private:
 
     NodeStack& stack_;
     AodvParams params_;
-    std::unordered_map<util::NodeId, Route> routes_;
-    std::unordered_map<util::NodeId, Discovery> pending_;
-    std::unordered_set<std::uint64_t> rreq_seen_;  // origin<<32 | rreq_id
+    std::vector<Route> routes_;        // ascending dst
+    std::vector<Discovery> pending_;   // in no order; a few in flight
+    std::vector<SeenRreq> rreq_seen_;  // arrival order = expiry order
     util::SeqNum my_seq_ = 1;
     std::uint32_t next_rreq_id_ = 1;
 };

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
 #include "net/node_stack.h"
 #include "net/world.h"
 
@@ -262,6 +266,138 @@ TEST(Aodv, RouteHopsReasonable) {
     const auto via_aodv = w.stack(0).aodv().route_hops(dst);
     EXPECT_GE(via_aodv, shortest);
     EXPECT_LE(via_aodv, shortest + 3);
+}
+
+// RFC 3561 §6.3: an RREQ id is remembered while
+// now < first heard + PATH_DISCOVERY_TIME, and forgotten from then on.
+TEST(Aodv, RreqIdIsForgottenAtPathDiscoveryTime) {
+    World w(abstract_world(80));
+    w.start();
+    const sim::Time pdt = w.params().aodv.path_discovery_time();
+    ASSERT_EQ(pdt, 2800 * sim::kMillisecond);  // 2 * NET_TRAVERSAL_TIME
+    const std::vector<util::NodeId> nbrs = w.physical_neighbors(0);
+    ASSERT_GE(nbrs.size(), 2u);
+    Aodv& aodv = w.stack(0).aodv();
+
+    RreqBody rreq;
+    rreq.origin = farthest(w, 0);
+    rreq.target = farthest(w, nbrs[0]);
+    ASSERT_NE(rreq.target, 0u);
+    rreq.origin_seq = 5;
+    rreq.rreq_id = 42;
+    rreq.hop_count = 4;
+    const sim::Time first_heard = w.simulator().now();
+    // ttl 1: node 0 installs the reverse route and forwards nothing.
+    aodv.on_rreq(nbrs[0], rreq, 1);
+    EXPECT_EQ(aodv.route_hops(rreq.origin), 5u);
+
+    // The same id over a shorter path, 1 ns before the boundary: still a
+    // duplicate, so the reverse route keeps its 5 hops.
+    rreq.hop_count = 0;
+    w.simulator().run_until(first_heard + pdt - 1);
+    aodv.on_rreq(nbrs[1], rreq, 1);
+    EXPECT_EQ(aodv.route_hops(rreq.origin), 5u);
+
+    // At the boundary the id is forgotten: the copy is processed and its
+    // one-hop route replaces the 5-hop one.
+    w.simulator().run_until(first_heard + pdt);
+    aodv.on_rreq(nbrs[1], rreq, 1);
+    EXPECT_EQ(aodv.route_hops(rreq.origin), 1u);
+}
+
+// Minutes of steady discoveries between random pairs: a node's RREQ cache
+// holds what it heard in the last PATH_DISCOVERY_TIME, never the run's
+// history. What a node heard in that window is bounded by the routing
+// packets sent on air in it (plus one link delay).
+TEST(Aodv, RreqCacheFollowsRecentRateNotRunLength) {
+    WorldParams params = abstract_world(80, 31);
+    // Short-lived routes keep discoveries coming for the whole run.
+    params.aodv.route_lifetime = 2 * sim::kSecond;
+    World w(params);
+    w.start();
+    const sim::Time pdt = params.aodv.path_discovery_time();
+    const sim::Time tick = 100 * sim::kMillisecond;
+    const sim::Time run = 5 * 60 * sim::kSecond;
+    // A window of pdt plus one tick covers pdt plus a link delay.
+    ASSERT_LT(params.abstract_link.delay_max, tick);
+    const auto window_ticks = static_cast<std::size_t>(pdt / tick + 1);
+
+    util::Rng rng(7);
+    int resolved = 0;
+    std::function<void()> send_next = [&] {
+        const auto src = static_cast<util::NodeId>(rng.index(80));
+        const auto dst = static_cast<util::NodeId>(rng.index(80));
+        w.stack(src).send_routed(dst, std::make_shared<Ping>(),
+                                 [&](bool) { ++resolved; });
+        w.simulator().schedule_in(2 * tick, send_next);
+    };
+    send_next();
+
+    // routing_tx[k] is the count at k ticks.
+    std::vector<std::uint64_t> routing_tx{w.kernel_stats().routing_tx};
+    std::size_t max_held = 0;
+    for (sim::Time t = tick; t <= run; t += tick) {
+        w.simulator().run_until(t);
+        routing_tx.push_back(w.kernel_stats().routing_tx);
+        const std::size_t k = routing_tx.size() - 1;
+        if (k < window_ticks) {
+            continue;
+        }
+        // Routing packets sent in the window: an upper bound on the RREQ
+        // ids any node first heard within pdt of now.
+        const std::uint64_t heard_bound =
+            routing_tx[k] - routing_tx[k - window_ticks];
+        for (util::NodeId v = 0; v < w.node_count(); ++v) {
+            Aodv& aodv = w.stack(v).aodv();
+            // Hearing its own RREQ echoed back makes v drop expired ids.
+            RreqBody echo;
+            echo.origin = v;
+            aodv.on_rreq(v, echo, 1);
+            max_held = std::max(max_held, aodv.rreq_ids_held());
+            ASSERT_LE(aodv.rreq_ids_held(), heard_bound)
+                << "node " << v << " at t=" << t;
+        }
+    }
+    EXPECT_GT(resolved, 1000);
+    EXPECT_GT(max_held, 0u);
+}
+
+// A tracker resolved while a discovery drains its queue runs app code
+// synchronously; that code may send again and start new discoveries.
+TEST(Aodv, FailureCallbackMayStartNewDiscoveries) {
+    World w(abstract_world(150, 3));
+    w.start();
+    const util::NodeId far = farthest(w, 0);
+    ASSERT_GT(w.snapshot_graph().bfs_distances(0)[far], 3u);
+
+    std::vector<util::NodeId> targets;
+    for (util::NodeId v = 1; targets.size() < 8; ++v) {
+        if (v != far) {
+            targets.push_back(v);
+        }
+    }
+    int failed = 0;
+    int delivered = 0;
+    RouteSendOptions scoped;
+    scoped.max_discovery_ttl = 2;
+    // Two sends queue behind one scoped discovery that cannot succeed. The
+    // first failure callback starts eight discoveries, growing the pending
+    // list while the second queued send still waits to be failed.
+    w.stack(0).send_routed(
+        far, std::make_shared<Ping>(),
+        [&](bool ok) {
+            failed += ok ? 0 : 1;
+            for (const util::NodeId v : targets) {
+                w.stack(0).send_routed(v, std::make_shared<Ping>(),
+                                       [&](bool d) { delivered += d; });
+            }
+        },
+        scoped);
+    w.stack(0).send_routed(far, std::make_shared<Ping>(),
+                           [&](bool ok) { failed += ok ? 0 : 1; });
+    w.simulator().run_until(60 * sim::kSecond);
+    EXPECT_EQ(failed, 2);
+    EXPECT_EQ(delivered, static_cast<int>(targets.size()));
 }
 
 }  // namespace
