@@ -244,6 +244,36 @@ TEST(GoldenDeterminism, FullFidelityFingerprint) {
            "the new numbers in the PR body.";
 }
 
+// Same scenario with RANDOM-OPT lookups (§4.5): ln 64 ≈ 4 routed targets,
+// whose relays also act on each request. The only golden that runs the
+// en-route rule.
+const Fingerprint kGoldenRandomOpt = {
+    .events_scheduled = 15531,
+    .events_fired = 15167,
+    .events_cancelled = 236,
+    .callback_heap_allocs = 0,
+    .grid_queries = 4956,
+    .grid_moves = 3328,
+    .grid_cell_crossings = 10,
+    .advertise_quorum = 37,
+    .lookup_quorum = 4,
+    .hits = 29,
+    .intersects = 29,
+    .msgs_total = 6873,
+};
+
+TEST(GoldenDeterminism, RandomOptFingerprint) {
+    ScenarioParams p = golden_params();
+    p.spec.lookup.kind = StrategyKind::kRandomOpt;
+    p.spec.lookup.quorum_size = 4;
+    const Fingerprint got = fingerprint_of(run_scenario(p), p);
+    EXPECT_TRUE(got == kGoldenRandomOpt)
+        << "RANDOM-OPT fingerprint changed.\nexpected " << kGoldenRandomOpt
+        << "\ngot      " << got
+        << "\nIf the change is intended, update kGoldenRandomOpt and "
+           "justify the new numbers in the PR body.";
+}
+
 TEST(GoldenDeterminism, ByzantineHookQuiescentAtZero) {
     // The tamper hook is compiled into every build now; at byzantine.b ==
     // 0 it must be a dead pointer load. kGolden above (captured before
