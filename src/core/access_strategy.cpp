@@ -6,7 +6,6 @@
 
 #include "core/flooding_strategy.h"
 #include "core/path_strategy.h"
-#include "core/random_opt_strategy.h"
 #include "core/random_strategy.h"
 
 namespace pqs::core {
@@ -48,13 +47,12 @@ std::unique_ptr<AccessStrategy> make_strategy(ServiceContext& ctx,
                                               std::uint32_t tag) {
     switch (config.kind) {
         case StrategyKind::kRandom:
+        case StrategyKind::kRandomOpt:
             return std::make_unique<RandomStrategy>(ctx, config, tag);
         case StrategyKind::kRandomSampling:
             throw std::invalid_argument(
                 "make_strategy: RANDOM(sampling) has only a closed form "
                 "(core/theory.h); simulate membership-based RANDOM");
-        case StrategyKind::kRandomOpt:
-            return std::make_unique<RandomOptStrategy>(ctx, config, tag);
         case StrategyKind::kPath:
             return std::make_unique<PathStrategy>(ctx, config, tag,
                                                   /*unique=*/false);

@@ -19,7 +19,8 @@ RandomStrategy::RandomStrategy(ServiceContext& ctx, StrategyConfig config,
                                std::uint32_t tag)
     : AccessStrategy(ctx, config, tag), ops_(ctx.world.simulator()) {
     if (ctx.membership == nullptr) {
-        throw std::invalid_argument("RANDOM needs a membership service");
+        throw std::invalid_argument(strategy_name(config.kind) +
+                                    " needs a membership service");
     }
     // Unused fork: dropping it would shift every later world-RNG fork.
     ctx.world.rng().fork();
@@ -35,57 +36,13 @@ RandomStrategy::~RandomStrategy() {
 }
 
 void RandomStrategy::attach_node(util::NodeId id) {
-    ctx_.world.stack(id).add_app_handler(
+    net::NodeStack& stack = ctx_.world.stack(id);
+    stack.add_app_handler(
         [this, id](util::NodeId, util::NodeId, const net::AppMsgPtr& msg) {
             if (const auto req =
                     std::dynamic_pointer_cast<const QuorumRequestMsg>(msg);
                 req && req->strategy_tag == tag_) {
-                LocalStore& store = ctx_.store(id);
-                ctx_.count_load(id);
-                obs::record(req->trace, obs::EventKind::kQuorumMemberReached,
-                            id);
-                if (req->kind == AccessKind::kAdvertise) {
-                    ctx_.store_value(id, req->key, req->value,
-                                     config_.monotonic_store);
-                    return true;
-                }
-                const std::optional<Value> found = store.find(req->key);
-                if (found && req->probe) {
-                    req->probe->intersected = true;
-                }
-                if ((found && req->want_reply) ||
-                    (!found && req->want_miss_reply)) {
-                    auto reply = std::make_shared<QuorumReplyMsg>();
-                    reply->trace = req->trace;
-                    reply->strategy_tag = tag_;
-                    reply->op = req->op;
-                    reply->key = req->key;
-                    reply->found = found.has_value();
-                    reply->value = found.value_or(0);
-                    reply->responder = id;
-                    ctx_.world.stack(id).send_routed(req->op.origin, reply,
-                                                     nullptr);
-                } else if (!found && req->want_reply) {
-                    // An honest node stays silent on a miss; a Byzantine
-                    // quorum member answers every query (the masking
-                    // threat model). One pointer load when no tamper is
-                    // installed — bit-identical to the pre-hook build.
-                    net::ReplyTamper* tamper = ctx_.world.tamper();
-                    Value lie = 0;
-                    if (tamper != nullptr &&
-                        tamper->on_lookup_miss(id, req->key, lie)) {
-                        auto reply = std::make_shared<QuorumReplyMsg>();
-                        reply->trace = req->trace;
-                        reply->strategy_tag = tag_;
-                        reply->op = req->op;
-                        reply->key = req->key;
-                        reply->found = true;
-                        reply->value = lie;
-                        reply->responder = id;
-                        ctx_.world.stack(id).send_routed(req->op.origin,
-                                                         reply, nullptr);
-                    }
-                }
+                on_request(id, *req);
                 return true;
             }
             if (const auto reply =
@@ -112,26 +69,90 @@ void RandomStrategy::attach_node(util::NodeId id) {
             }
             return false;
         });
+    if (config_.kind == StrategyKind::kRandomOpt) {
+        // The cross-layer hook: inspect data packets this node merely
+        // forwards.
+        stack.add_snoop_handler([this, id](const net::Packet& packet) {
+            const auto req = std::dynamic_pointer_cast<const QuorumRequestMsg>(
+                packet.data().app);
+            return req && req->strategy_tag == tag_ && on_relay(id, *req);
+        });
+    }
+}
+
+std::optional<Value> RandomStrategy::serve(util::NodeId id,
+                                           const QuorumRequestMsg& req) {
+    ctx_.count_load(id);
+    obs::record(req.trace, obs::EventKind::kQuorumMemberReached, id);
+    if (req.kind == AccessKind::kAdvertise) {
+        ctx_.store_value(id, req.key, req.value, config_.monotonic_store);
+        return std::nullopt;
+    }
+    const std::optional<Value> found = ctx_.store(id).find(req.key);
+    if (found && req.probe) {
+        req.probe->intersected = true;
+    }
+    return found;
+}
+
+void RandomStrategy::on_request(util::NodeId id,
+                                const QuorumRequestMsg& req) {
+    const std::optional<Value> found = serve(id, req);
+    if (req.kind == AccessKind::kAdvertise) {
+        return;
+    }
+    if ((found && req.want_reply) || (!found && req.want_miss_reply)) {
+        send_reply(id, req, found.has_value(), found.value_or(0));
+    } else if (!found && req.want_reply) {
+        // An honest node stays silent on a miss; a Byzantine quorum member
+        // answers every query (the masking threat model). One pointer load
+        // when no tamper is installed — bit-identical to the pre-hook
+        // build.
+        net::ReplyTamper* tamper = ctx_.world.tamper();
+        Value lie = 0;
+        if (tamper != nullptr && tamper->on_lookup_miss(id, req.key, lie)) {
+            send_reply(id, req, true, lie);
+        }
+    }
+}
+
+bool RandomStrategy::on_relay(util::NodeId id, const QuorumRequestMsg& req) {
+    // Every traversed node joins the advertise quorum, and a traversed
+    // holder answers a lookup (§4.5).
+    const std::optional<Value> found = serve(id, req);
+    if (!found) {
+        return false;  // forward the request on
+    }
+    send_reply(id, req, true, *found);
+    // The request stops here; from the origin's perspective the send
+    // resolved (it reached a quorum member).
+    obs::record(req.trace, obs::EventKind::kEarlyHalt, id);
+    on_target_resolved(req.op, req.op.origin, true);
+    return true;
+}
+
+void RandomStrategy::send_reply(util::NodeId from,
+                                const QuorumRequestMsg& req, bool found,
+                                Value value) {
+    auto reply = std::make_shared<QuorumReplyMsg>();
+    reply->trace = req.trace;
+    reply->strategy_tag = tag_;
+    reply->op = req.op;
+    reply->key = req.key;
+    reply->found = found;
+    reply->value = value;
+    reply->responder = from;
+    ctx_.world.stack(from).send_routed(req.op.origin, reply, nullptr);
 }
 
 void RandomStrategy::access(AccessKind kind, util::NodeId origin,
                             util::Key key, Value value, obs::TraceId trace,
                             AccessCallback done) {
-    const util::AccessId op = next_op(origin);
-    auto probe = std::make_shared<IntersectionProbe>();
-    auto entry = ops_.open(op, std::move(done), ctx_.op_timeout,
-                            [probe](AccessResult& r) {
-                                r.intersected = probe->intersected;
-                            });
-    entry->state.kind = kind;
-    entry->state.key = key;
-    entry->state.value = value;
-    entry->state.probe = std::move(probe);
-    entry->state.serial = config_.serial && kind == AccessKind::kLookup;
-    entry->state.replacements_left = kReplacementTargets;
-    entry->state.trace = trace;
-    entry->state.targets = ctx_.membership->sample(origin, config_.quorum_size);
-    launch_targets(op, origin);
+    // RANDOM-OPT runs without replacements, as Fig. 9 is measured.
+    const int replacements =
+        config_.kind == StrategyKind::kRandomOpt ? 0 : kReplacementTargets;
+    start_op(kind, origin, key, value, trace, std::move(done), replacements,
+             ctx_.membership->sample(origin, config_.quorum_size));
 }
 
 void RandomStrategy::access_directed(AccessKind kind, util::NodeId origin,
@@ -143,6 +164,25 @@ void RandomStrategy::access_directed(AccessKind kind, util::NodeId origin,
         access(kind, origin, key, value, trace, std::move(done));
         return;
     }
+    // Exactly the given targets, no random top-up: a directed access aims
+    // at nodes *known* to hold the key (prior responders), so padding to
+    // |Qℓ| would re-pay the random-quorum message cost the cache exists
+    // to avoid — and would silently heal a dead cached set, hiding the
+    // staleness the caller is responsible for evicting on.
+    std::vector<util::NodeId> quorum = targets;
+    if (quorum.size() > config_.quorum_size) {
+        quorum.resize(config_.quorum_size);
+    }
+    // No §6.2 replacements: a dead cached target must produce a visible
+    // miss, not a silently healed quorum (the caller owns invalidation).
+    start_op(kind, origin, key, value, trace, std::move(done),
+             /*replacements=*/0, std::move(quorum));
+}
+
+void RandomStrategy::start_op(AccessKind kind, util::NodeId origin,
+                              util::Key key, Value value, obs::TraceId trace,
+                              AccessCallback done, int replacements,
+                              std::vector<util::NodeId> targets) {
     const util::AccessId op = next_op(origin);
     auto probe = std::make_shared<IntersectionProbe>();
     auto entry = ops_.open(op, std::move(done), ctx_.op_timeout,
@@ -154,19 +194,9 @@ void RandomStrategy::access_directed(AccessKind kind, util::NodeId origin,
     entry->state.value = value;
     entry->state.probe = std::move(probe);
     entry->state.serial = config_.serial && kind == AccessKind::kLookup;
-    // No §6.2 replacements: a dead cached target must produce a visible
-    // miss, not a silently healed quorum (the caller owns invalidation).
-    entry->state.replacements_left = 0;
+    entry->state.replacements_left = replacements;
     entry->state.trace = trace;
-    // Exactly the given targets, no random top-up: a directed access aims
-    // at nodes *known* to hold the key (prior responders), so padding to
-    // |Qℓ| would re-pay the random-quorum message cost the cache exists
-    // to avoid — and would silently heal a dead cached set, hiding the
-    // staleness the caller is responsible for evicting on.
-    entry->state.targets = targets;
-    if (entry->state.targets.size() > config_.quorum_size) {
-        entry->state.targets.resize(config_.quorum_size);
-    }
+    entry->state.targets = std::move(targets);
     launch_targets(op, origin);
 }
 

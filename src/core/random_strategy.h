@@ -1,12 +1,21 @@
-// RANDOM access strategy (§4.1), membership-based: the quorum is a
-// uniformly random node set drawn from the origin's membership view, and
-// each member is contacted through AODV unicast routing. The paper's other
-// implementation, sampling-based RANDOM over mixing-time max-degree walks,
-// exists only as a closed form (core/theory.h, Fig. 3); its simulations
-// run this one.
+// RANDOM and RANDOM-OPT access strategies, membership-based.
+//
+// RANDOM (§4.1): the quorum is a uniformly random node set drawn from the
+// origin's membership view, and each member is contacted through AODV
+// unicast routing. The paper's other implementation, sampling-based RANDOM
+// over mixing-time max-degree walks, exists only as a closed form
+// (core/theory.h, Fig. 3); its simulations run this one.
+//
+// RANDOM-OPT (§4.5) is RANDOM plus one cross-layer rule: every node a
+// request passes *through* also acts on it. A relay stores an advertised
+// value, and a relay holding a looked-up key answers and stops the request
+// there (early halting en route). Only ~ln(n) routed requests are needed
+// for the same effective quorum size as RANDOM's sqrt(n) (§8.2). Its
+// requests get no §6.2 replacements: Fig. 9 is measured without them.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/access_strategy.h"
@@ -15,14 +24,15 @@ namespace pqs::core {
 
 class RandomStrategy final : public AccessStrategy {
 public:
-    // Throws std::invalid_argument when ctx.membership is null.
+    // Serves config.kind kRandom or kRandomOpt. Throws
+    // std::invalid_argument when ctx.membership is null.
     RandomStrategy(ServiceContext& ctx, StrategyConfig config,
                    std::uint32_t tag);
     // Cancels the reply-grace timers of still-pending ops: their events
     // capture `this` and must not outlive the strategy.
     ~RandomStrategy() override;
 
-    std::string name() const override { return "RANDOM"; }
+    std::string name() const override { return strategy_name(config_.kind); }
     void attach_node(util::NodeId id) override;
     void access(AccessKind kind, util::NodeId origin, util::Key key,
                 Value value, obs::TraceId trace,
@@ -57,6 +67,18 @@ private:
         obs::TraceId trace = 0;
     };
 
+    // Counts `id`'s load and acts on a request it received or relays: an
+    // advertise stores the value; a lookup returns the value `id` holds.
+    std::optional<Value> serve(util::NodeId id, const QuorumRequestMsg& req);
+    void on_request(util::NodeId id, const QuorumRequestMsg& req);
+    // RANDOM-OPT's en-route rule; true when the request stops here.
+    bool on_relay(util::NodeId id, const QuorumRequestMsg& req);
+    void send_reply(util::NodeId from, const QuorumRequestMsg& req,
+                    bool found, Value value);
+    // Opens an op aimed at `targets` and launches it.
+    void start_op(AccessKind kind, util::NodeId origin, util::Key key,
+                  Value value, obs::TraceId trace, AccessCallback done,
+                  int replacements, std::vector<util::NodeId> targets);
     // Issues the op's already-chosen target list (serial or parallel).
     void launch_targets(util::AccessId op, util::NodeId origin);
     void send_to_target(util::AccessId op, util::NodeId origin,
