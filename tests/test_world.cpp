@@ -99,6 +99,76 @@ TEST(World, HeartbeatPopulatesNeighborTables) {
     }
 }
 
+// The run bits as a reception sees them. A node that is alive but not
+// started hears nothing: a hello delivered before World::start() leaves
+// its table empty, and the same hello after start() is heard.
+TEST(World, HelloBeforeStartLeavesTableEmpty) {
+    WorldParams p = small_world();
+    p.oracle_neighbors = false;
+    World w(p);
+    const auto near = w.physical_neighbors(0);
+    ASSERT_FALSE(near.empty());
+    w.link().broadcast(make_hello(w.packet_pool(), 0));
+    w.simulator().run_until(sim::kSecond);
+    for (const util::NodeId v : near) {
+        EXPECT_TRUE(w.stack(v).neighbors().empty()) << "node " << v;
+    }
+    w.start();
+    w.link().broadcast(make_hello(w.packet_pool(), 0));
+    w.simulator().run_until(w.simulator().now() + 10 * sim::kMillisecond);
+    for (const util::NodeId v : near) {
+        EXPECT_TRUE(w.stack(v).is_neighbor(0)) << "node " << v;
+    }
+}
+
+// An asleep node hears no hello and wakes with the table it had. After a
+// 5 s nap it lists exactly the neighbors it listed when it fell asleep;
+// after a 40 s nap, longer than the 2.5-heartbeat expiry, it lists none,
+// although every neighbor kept beaconing meanwhile.
+TEST(World, AsleepNodeHearsNoHelloAndWakesWithItsTable) {
+    WorldParams p = small_world();
+    p.oracle_neighbors = false;
+    World w(p);
+    w.start();
+    const util::NodeId v = 0;
+    w.simulator().run_until(30 * sim::kSecond);
+    const std::vector<util::NodeId> before = w.stack(v).neighbors();
+    auto truth = w.physical_neighbors(v);
+    std::sort(truth.begin(), truth.end());
+    ASSERT_EQ(before, truth);
+
+    w.sleep_node(v);
+    w.simulator().run_until(35 * sim::kSecond);
+    ASSERT_TRUE(w.wake_node(v));
+    EXPECT_EQ(w.stack(v).neighbors(), before);
+
+    w.simulator().run_until(40 * sim::kSecond);
+    w.sleep_node(v);
+    w.simulator().run_until(80 * sim::kSecond);
+    ASSERT_TRUE(w.wake_node(v));
+    EXPECT_TRUE(w.stack(v).neighbors().empty());
+}
+
+// Warm restart: a node revived within 2.5 heartbeats of its failure still
+// lists the neighbors it heard before it died.
+TEST(World, RevivedNodeKeepsTheNeighborsItHeard) {
+    WorldParams p = small_world();
+    p.oracle_neighbors = false;
+    World w(p);
+    w.start();
+    const util::NodeId v = 0;
+    w.simulator().run_until(30 * sim::kSecond);
+    const std::vector<util::NodeId> before = w.stack(v).neighbors();
+    ASSERT_FALSE(before.empty());
+    w.fail_node(v);
+    w.simulator().run_until(40 * sim::kSecond);
+    ASSERT_TRUE(w.revive_node(v));
+    EXPECT_EQ(w.stack(v).neighbors(), before);
+    for (const util::NodeId u : before) {
+        EXPECT_TRUE(w.stack(v).is_neighbor(u)) << "node " << u;
+    }
+}
+
 TEST(World, StackDestructionCancelsHeartbeat) {
     WorldParams p = small_world();
     p.oracle_neighbors = false;
