@@ -22,11 +22,11 @@ sim::Time AbstractLink::hop_delay() {
 
 AbstractLink::IdList AbstractLink::acquire_ids() {
     if (id_pool_.empty()) {
-        return std::make_unique<std::vector<util::NodeId>>();
+        return {};
     }
     IdList ids = std::move(id_pool_.back());
     id_pool_.pop_back();
-    ids->clear();
+    ids.clear();
     return ids;
 }
 
@@ -52,13 +52,13 @@ void AbstractLink::unicast(PacketPtr p, LinkTxCallback done) {
         // trace) as physical_neighbors, minus the per-call vector.
         IdList listeners = acquire_ids();
         world_.nodes_within(world_.position(from), world_.range(),
-                            *listeners, from);
+                            listeners, from);
         // pqs-lint: fire-and-forget(in-flight overhear delivery; the link
         // is World-owned and the body re-checks listener liveness)
         world_.simulator().schedule_in(
             delay,
             [this, p, to, listeners = std::move(listeners)]() mutable {
-                for (const util::NodeId listener : *listeners) {
+                for (const util::NodeId listener : listeners) {
                     // awake, not alive: sleeping radios overhear nothing.
                     if (listener != to && world_.awake(listener)) {
                         world_.charge_rx_bytes(listener, p->size_bytes());
@@ -120,7 +120,7 @@ void AbstractLink::broadcast(PacketPtr p) {
     // Snapshot receivers at send time (into a recycled buffer); they must
     // still be in range and alive at delivery time.
     IdList receivers = acquire_ids();
-    world_.nodes_within(world_.position(from), world_.range(), *receivers,
+    world_.nodes_within(world_.position(from), world_.range(), receivers,
                         from);
     // pqs-lint: fire-and-forget(in-flight broadcast; receivers are
     // re-validated alive-and-in-range at delivery time)
@@ -131,10 +131,13 @@ void AbstractLink::broadcast(PacketPtr p) {
                 release_ids(std::move(receivers));
                 return;
             }
-            for (const util::NodeId to : *receivers) {
+            // Nothing in the loop moves the sender (a fail_node inside it
+            // freezes this same point), so its position is read once.
+            const geom::Vec2 at = world_.position(from);
+            for (const util::NodeId to : receivers) {
                 if (world_.awake(to) &&
-                    geom::distance(world_.position(from),
-                                   world_.position(to)) <= world_.range() &&
+                    geom::distance(at, world_.position(to)) <=
+                        world_.range() &&
                     !rng_.bernoulli(params_.broadcast_loss)) {
                     if (faults_.drop > 0.0 &&
                         rng_.bernoulli(faults_.drop)) {

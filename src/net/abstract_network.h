@@ -5,7 +5,6 @@
 // (one network-layer message per transmission).
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "net/link.h"
@@ -38,7 +37,7 @@ public:
     void broadcast(PacketPtr p) override;
 
 private:
-    using IdList = std::unique_ptr<std::vector<util::NodeId>>;
+    using IdList = std::vector<util::NodeId>;
 
     sim::Time hop_delay();
     // Schedules a second delivery of `p` to `to` after one extra hop delay
@@ -46,8 +45,8 @@ private:
     void inject_duplicate(const PacketPtr& p, util::NodeId to);
 
     // Receiver-snapshot buffers, recycled between transmissions: each
-    // broadcast captures one by unique_ptr (so an event destroyed unfired
-    // still frees it) and returns it at the end of its delivery callback.
+    // broadcast's delivery event holds one by value (so an event destroyed
+    // unfired still frees it) and returns it when it fires.
     IdList acquire_ids();
     void release_ids(IdList ids);
 

@@ -11,7 +11,6 @@ namespace pqs::net {
 NodeStack::NodeStack(World& world, util::NodeId id, util::Rng rng)
     : world_(world),
       id_(id),
-      neighbor_table_(world.params().heartbeat),
       rng_(rng),
       aodv_(*this, world.params().aodv) {}
 
@@ -19,8 +18,8 @@ void NodeStack::start() {
     if (heartbeat_timer_ != sim::kInvalidEvent) {
         world_.simulator().cancel(heartbeat_timer_);
     }
-    running_ = true;
-    suspended_ = false;
+    world_.running_.set(id_);
+    world_.suspended_.reset(id_);
     // Desynchronize heartbeats across nodes within the first cycle.
     const auto cycle = static_cast<std::uint64_t>(world_.params().heartbeat);
     heartbeat_timer_ = world_.simulator().schedule_in(
@@ -30,7 +29,7 @@ void NodeStack::start() {
 
 void NodeStack::heartbeat() {
     heartbeat_timer_ = sim::kInvalidEvent;
-    if (!running_ || suspended_) {
+    if (!running() || suspended()) {
         return;
     }
     link_broadcast(make_hello(world_.packet_pool(), id_));
@@ -38,9 +37,13 @@ void NodeStack::heartbeat() {
         world_.params().heartbeat, [this] { heartbeat(); });
 }
 
+bool NodeStack::running() const { return world_.running(id_); }
+
+bool NodeStack::suspended() const { return world_.suspended(id_); }
+
 void NodeStack::shutdown() {
-    running_ = false;
-    suspended_ = false;
+    world_.running_.reset(id_);
+    world_.suspended_.reset(id_);
     if (heartbeat_timer_ != sim::kInvalidEvent) {
         world_.simulator().cancel(heartbeat_timer_);
         heartbeat_timer_ = sim::kInvalidEvent;
@@ -51,10 +54,10 @@ void NodeStack::shutdown() {
 }
 
 void NodeStack::suspend() {
-    if (!running_ || suspended_) {
+    if (!running() || suspended()) {
         return;
     }
-    suspended_ = true;
+    world_.suspended_.set(id_);
     if (heartbeat_timer_ != sim::kInvalidEvent) {
         world_.simulator().cancel(heartbeat_timer_);
         heartbeat_timer_ = sim::kInvalidEvent;
@@ -62,10 +65,10 @@ void NodeStack::suspend() {
 }
 
 void NodeStack::resume() {
-    if (!running_ || !suspended_) {
+    if (!running() || !suspended()) {
         return;
     }
-    suspended_ = false;
+    world_.suspended_.reset(id_);
     // Announce the wake-up soon, jittered so co-waking nodes do not
     // synchronize their hellos (same desync rationale as start()).
     const auto cycle = static_cast<std::uint64_t>(world_.params().heartbeat);
@@ -75,7 +78,7 @@ void NodeStack::resume() {
 }
 
 void NodeStack::on_overhear(const PacketPtr& p) {
-    if (!running_) {
+    if (!running()) {
         return;
     }
     for (const OverhearHandler& handler : overhear_handlers_) {
@@ -164,7 +167,7 @@ std::vector<util::NodeId> NodeStack::neighbors() const {
     if (world_.params().oracle_neighbors) {
         return world_.physical_neighbors(id_);
     }
-    return neighbor_table_.neighbors(world_.simulator().now());
+    return world_.hello_slab().neighbors(id_, world_.simulator().now());
 }
 
 bool NodeStack::is_neighbor(util::NodeId id) const {
@@ -172,7 +175,8 @@ bool NodeStack::is_neighbor(util::NodeId id) const {
         const auto n = world_.physical_neighbors(id_);
         return std::find(n.begin(), n.end(), id) != n.end();
     }
-    return neighbor_table_.is_neighbor(id, world_.simulator().now());
+    return world_.hello_slab().is_neighbor(id_, id,
+                                           world_.simulator().now());
 }
 
 void NodeStack::deliver_local(util::NodeId prev_hop, util::NodeId net_src,
@@ -184,21 +188,9 @@ void NodeStack::deliver_local(util::NodeId prev_hop, util::NodeId net_src,
     }
 }
 
-// pqs-hot: every received packet, hellos included, lands here.
+// pqs-hot: every received RREQ, RREP, RERR and data packet lands here.
 void NodeStack::on_receive(PacketPtr p) {
-    if (!running_) {
-        return;
-    }
     const util::NodeId from = p->link_src;
-    // Any overheard packet proves the sender is a live neighbor. With
-    // oracle neighbors nothing reads the table, so it is not kept.
-    if (!world_.params().oracle_neighbors) {
-        neighbor_table_.on_hello(from, world_.simulator().now());
-    }
-
-    if (std::holds_alternative<HelloBody>(p->body)) {
-        return;
-    }
     if (const auto* rreq = std::get_if<RreqBody>(&p->body)) {
         aodv_.on_rreq(from, *rreq, p->ttl);
         return;

@@ -8,7 +8,6 @@
 
 #include "net/aodv.h"
 #include "net/link.h"
-#include "net/neighbor.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
 #include "util/ids.h"
@@ -86,12 +85,15 @@ public:
     // Called by the link layer.
     void on_overhear(const PacketPtr& p);
 
-    // Called by World on packet arrival.
+    // Called by World for every packet but a hello, once it has checked
+    // the run bits and refreshed this node's hello row.
     void on_receive(PacketPtr p);
 
-    // Node failure: stops heartbeats and drops pending work.
+    // Node failure: stops heartbeats and drops pending work. The run
+    // bits live in World (World::running / World::suspended), where a
+    // reception tests them without touching the stack.
     void shutdown();
-    bool running() const { return running_; }
+    bool running() const;
 
     // Duty-cycle sleep: pauses the heartbeat loop but — unlike
     // shutdown() — keeps every installed app/snoop/overhear handler, so
@@ -100,7 +102,7 @@ public:
     // handlers for a node that merely slept.
     void suspend();
     void resume();
-    bool suspended() const { return suspended_; }
+    bool suspended() const;
 
     // Used by Aodv (and strategies) to emit link packets.
     void link_unicast(PacketPtr p, LinkTxCallback done);
@@ -111,13 +113,8 @@ private:
     void deliver_local(util::NodeId prev_hop, util::NodeId net_src,
                        const AppMsgPtr& msg);
 
-    // What a hello receive touches sits together in the first 48 bytes,
-    // so on_receive does not pull the rest of the stack into cache.
     World& world_;
     util::NodeId id_;
-    bool running_ = false;
-    bool suspended_ = false;
-    NeighborTable neighbor_table_;
     util::Rng rng_;
     Aodv aodv_;
     std::vector<AppHandler> app_handlers_;

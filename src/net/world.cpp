@@ -48,7 +48,9 @@ private:
 };
 
 World::World(WorldParams params)
-    : params_(params), rng_(params.seed) {
+    : params_(params),
+      rng_(params.seed),
+      hello_(params.heartbeat, params.avg_degree) {
     geom::RggParams rgg{params_.n, params_.range, params_.avg_degree,
                         geom::Metric::kPlane};
     side_ = rgg.side();
@@ -74,6 +76,12 @@ World::World(WorldParams params)
     }
     alive_.assign(params_.n, true);
     asleep_.assign(params_.n, false);
+    running_.assign(params_.n, false);
+    suspended_.assign(params_.n, false);
+    // With oracle neighbors nothing reads the tables, so none are kept.
+    if (!params_.oracle_neighbors) {
+        hello_.add_rows(params_.n);
+    }
     initial_population_ = params_.n;
     for (util::NodeId id = 0; id < params_.n; ++id) {
         grid_->insert(id, positions_[id]);
@@ -458,6 +466,11 @@ util::NodeId World::spawn_node() {
         geom::Vec2{rng_.uniform(0.0, side_), rng_.uniform(0.0, side_)});
     alive_.push_back(true);
     asleep_.push_back(false);
+    running_.push_back(false);
+    suspended_.push_back(false);
+    if (!params_.oracle_neighbors) {
+        hello_.add_rows(1);
+    }
     if (lazy_mobility_) {
         motion_.resize(positions_.size());
     }
@@ -475,13 +488,22 @@ util::NodeId World::spawn_node() {
 }
 
 // pqs-hot: the link layer's hand-off for every received packet.
-void World::deliver(util::NodeId to, PacketPtr p) {
+void World::deliver(util::NodeId to, const PacketPtr& p) {
     // awake, not alive: sleeping nodes miss quorum probes — they neither
-    // receive nor acknowledge, though they keep their stored values.
-    if (!awake(to)) {
+    // receive nor acknowledge, though they keep their stored values. A
+    // node alive but not yet started hears nothing either.
+    if (!awake(to) || !running_.test(to)) {
         return;
     }
-    stacks_[to]->on_receive(std::move(p));
+    // Any overheard packet proves the sender is a live neighbor. With
+    // oracle neighbors nothing reads the table, so it is not kept.
+    if (!params_.oracle_neighbors) {
+        hello_.on_hello(to, p->link_src, simulator_.now());
+    }
+    if (std::holds_alternative<HelloBody>(p->body)) {
+        return;
+    }
+    stacks_[to]->on_receive(p);
 }
 
 void World::overhear(util::NodeId listener, PacketPtr p) {

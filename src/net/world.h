@@ -15,6 +15,7 @@
 #include "net/abstract_network.h"
 #include "net/aodv.h"
 #include "net/link.h"
+#include "net/neighbor.h"
 #include "net/packet.h"
 #include "phy/channel.h"
 #include "sim/energy_model.h"
@@ -97,6 +98,7 @@ public:
         stats.packet_pool_reuses = packet_pool_.reuses();
         stats.alive_snapshots = alive_snapshots_;
         stats += counters_;
+        stats.hello_spills = hello_.spills();
         if (energy_) {
             stats.energy_sleep_transitions = energy_->sleep_transitions();
             stats.energy_depletions = energy_->depletions();
@@ -151,6 +153,11 @@ public:
     std::size_t awake_count() const {
         return alive_.count() - asleep_.count();
     }
+    // The stack's run bits, kept here so a reception can test them
+    // without touching the NodeStack: running from NodeStack::start() to
+    // shutdown(), suspended while a running node sleeps.
+    bool running(util::NodeId id) const { return running_.test(id); }
+    bool suspended(util::NodeId id) const { return suspended_.test(id); }
     // Radio off: cancels the heartbeat loop, keeps everything else.
     void sleep_node(util::NodeId id);
     // Radio back on. Unlike revive_node this does NOT re-run start() or
@@ -182,6 +189,8 @@ public:
 
     NodeStack& stack(util::NodeId id);
     LinkLayer& link() { return *link_; }
+    // Every node's hello table (no rows with oracle neighbors).
+    const HelloSlab& hello_slab() const { return hello_; }
 
     // Begins heartbeats and mobility. Call once before running.
     void start();
@@ -225,7 +234,9 @@ public:
     double time_to_half_depletion_s() const { return half_depletion_s_; }
 
     // --- link receive path (called by link implementations) ---
-    void deliver(util::NodeId to, PacketPtr p);
+    // Refreshes a running receiver's hello row; everything but a hello
+    // then goes on to its NodeStack.
+    void deliver(util::NodeId to, const PacketPtr& p);
     // Promiscuous delivery of packets not addressed to `listener` (§7.2).
     void overhear(util::NodeId listener, PacketPtr p);
 
@@ -272,6 +283,10 @@ private:
     // (fail_node clears both). Always sized — testing it is one load —
     // but only the energy model ever sets bits.
     util::AliveSet asleep_;
+    // NodeStack run bits (see running()); written only by NodeStack.
+    util::AliveSet running_;
+    util::AliveSet suspended_;
+    HelloSlab hello_;
     std::unique_ptr<geom::SpatialGrid> grid_;  // alive nodes only
     bool lazy_mobility_ = false;         // params_.mobile && waypoint.lazy
     std::vector<MotionState> motion_;    // sized only in lazy mode
@@ -304,6 +319,7 @@ private:
     bool alive_subgraph_connected() const;
 
     friend class MacLink;
+    friend class NodeStack;
 };
 
 }  // namespace pqs::net

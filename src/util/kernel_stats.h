@@ -43,6 +43,7 @@ namespace pqs::util {
     X(lease_expirations) /* leased values evicted at their deadline */    \
     X(refreshes_deferred) /* refresher ticks deferred: owner asleep */    \
     X(hello_tx)          /* neighbor-discovery hellos sent on air */      \
+    X(hello_spills)      /* hello refreshes served from spill storage */  \
     X(routing_tx)        /* AODV RREQ/RREP/RERR sent on air */            \
     X(data_tx)           /* data packets sent on air, one per hop */
 

@@ -15,8 +15,8 @@ namespace {
 constexpr sim::Time kHeartbeat = 10 * sim::kSecond;
 constexpr sim::Time kExpiry = 25 * sim::kSecond;  // 2.5 cycles
 
-// The table without pruning or ordering tricks: one entry per node ever
-// heard, fresh iff heard within the expiry.
+// The table without pruning, rows or ordering tricks: one entry per node
+// ever heard, fresh iff heard within the expiry.
 class ReferenceTable {
 public:
     void on_hello(util::NodeId from, sim::Time now) { heard_[from] = now; }
@@ -40,6 +40,26 @@ private:
     std::map<util::NodeId, sim::Time> heard_;
 };
 
+// One node's table: row 1 of a three-row slab at the default d_avg = 10
+// (20 inline entries), so a row-index mix-up cannot pass as row 0 would.
+class Table {
+public:
+    Table() { slab_.add_rows(3); }
+
+    void on_hello(util::NodeId from, sim::Time now) {
+        slab_.on_hello(kRow, from, now);
+    }
+    bool is_neighbor(util::NodeId id, sim::Time now) const {
+        return slab_.is_neighbor(kRow, id, now);
+    }
+    std::vector<util::NodeId> neighbors(sim::Time now) const {
+        return slab_.neighbors(kRow, now);
+    }
+private:
+    static constexpr util::NodeId kRow = 1;
+    HelloSlab slab_{kHeartbeat, 10.0};
+};
+
 // Random scripts of hellos and queries, with time steps in 500 ms units
 // (so `now - heard == expiry` happens often) and occasional jumps of
 // 20–30 s across the expiry. Hellos come mostly from a window of ids
@@ -49,7 +69,7 @@ private:
 TEST(NeighborTable, MatchesNeverPruningReference) {
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
         util::Rng rng(seed);
-        NeighborTable table(kHeartbeat);
+        Table table;
         ReferenceTable ref;
         sim::Time now = 0;
         util::NodeId base = 0;
@@ -86,8 +106,8 @@ TEST(NeighborTable, MatchesNeverPruningReference) {
 
 TEST(NeighborTable, ArrivalOrderDoesNotMatter) {
     util::Rng rng(7);
-    NeighborTable forward(kHeartbeat);
-    NeighborTable shuffled(kHeartbeat);
+    Table forward;
+    Table shuffled;
     sim::Time now = 0;
     for (int round = 0; round < 50; ++round) {
         now += static_cast<sim::Time>(rng.uniform_int(1, 12)) * sim::kSecond;
@@ -112,7 +132,7 @@ TEST(NeighborTable, ArrivalOrderDoesNotMatter) {
 }
 
 TEST(NeighborTable, ExpiryBoundaryIsInclusive) {
-    NeighborTable table(kHeartbeat);
+    Table table;
     const sim::Time heard = 100 * sim::kSecond;
     table.on_hello(7, heard);
 
@@ -135,6 +155,159 @@ TEST(NeighborTable, ExpiryBoundaryIsInclusive) {
     EXPECT_EQ(table.neighbors(late + kExpiry + sim::kNanosecond),
               std::vector<util::NodeId>{7});
     EXPECT_TRUE(table.is_neighbor(7, back + kExpiry));
+}
+
+TEST(NeighborTable, InlineCapacityIsTwiceAverageDegree) {
+    EXPECT_EQ(HelloSlab(kHeartbeat, 10.0).inline_capacity(), 20u);
+    EXPECT_EQ(HelloSlab(kHeartbeat, 7.5).inline_capacity(), 15u);
+    EXPECT_EQ(HelloSlab(kHeartbeat, 1.0).inline_capacity(), 4u);
+}
+
+// One row pushed past its inline capacity and back, with its neighbors on
+// both sides kept busy: hello_spills counts exactly the refreshes served
+// from spill storage, and the other rows never see the spilled entries.
+TEST(NeighborTable, RowSpillsPastInlineCapacityAndBack) {
+    HelloSlab slab(kHeartbeat, 3.0);  // 6 inline entries
+    ASSERT_EQ(slab.inline_capacity(), 6u);
+    slab.add_rows(3);
+    ReferenceTable ref;
+    const auto hello = [&](util::NodeId from, sim::Time now) {
+        slab.on_hello(1, from, now);
+        ref.on_hello(from, now);
+    };
+    const auto expect_row = [&](sim::Time now) {
+        EXPECT_EQ(slab.neighbors(1, now), ref.neighbors(now));
+        for (util::NodeId id = 0; id < 100; ++id) {
+            EXPECT_EQ(slab.is_neighbor(1, id, now), ref.is_neighbor(id, now))
+                << "id " << id;
+        }
+        EXPECT_EQ(slab.neighbors(0, now), (std::vector<util::NodeId>{5, 6}));
+        EXPECT_EQ(slab.neighbors(2, now), (std::vector<util::NodeId>{9}));
+    };
+    // Rows 0 and 2 are refreshed at every step so they never expire.
+    const auto keep_others = [&](sim::Time now) {
+        slab.on_hello(0, 6, now);
+        slab.on_hello(0, 5, now);
+        slab.on_hello(2, 9, now);
+    };
+
+    // Exactly the inline capacity, in scrambled order: no spill.
+    sim::Time now = 0;
+    keep_others(now);
+    for (const util::NodeId id : {40u, 10u, 60u, 30u, 50u, 20u}) {
+        hello(id, now);
+    }
+    EXPECT_EQ(slab.spills(), 0u);
+    expect_row(now);
+
+    // One more fresh id: the row moves to spill storage, in id order.
+    now = sim::kSecond;
+    keep_others(now);
+    hello(35, now);
+    EXPECT_EQ(slab.spills(), 1u);
+    EXPECT_EQ(slab.neighbors(1, now),
+              (std::vector<util::NodeId>{10, 20, 30, 35, 40, 50, 60}));
+    expect_row(now);
+
+    // Refreshes and new ids on the spilled row are served there.
+    now = 2 * sim::kSecond;
+    keep_others(now);
+    hello(35, now);
+    hello(5, now);
+    hello(99, now);
+    EXPECT_EQ(slab.spills(), 4u);
+    expect_row(now);
+
+    // Past the expiry of the first six (35, 5 and 99 were heard exactly
+    // one expiry ago, so they stay): a new id prunes the row, which fits
+    // inline again, so neither it nor later refreshes count.
+    now = kExpiry + 2 * sim::kSecond;
+    keep_others(now);
+    hello(70, now);
+    EXPECT_EQ(slab.spills(), 4u);
+    EXPECT_EQ(slab.neighbors(1, now),
+              (std::vector<util::NodeId>{5, 35, 70, 99}));
+    expect_row(now);
+    hello(35, now);
+    hello(1, now);
+    EXPECT_EQ(slab.spills(), 4u);
+    expect_row(now);
+
+    // Full again with every entry fresh (6 of 6), then over: the block
+    // the row left is reused.
+    hello(2, now);
+    EXPECT_EQ(slab.spills(), 4u);
+    hello(3, now);
+    EXPECT_EQ(slab.spills(), 5u);
+    expect_row(now);
+    EXPECT_EQ(slab.neighbors(1, now),
+              (std::vector<util::NodeId>{1, 2, 3, 5, 35, 70, 99}));
+}
+
+// Many rows driven at once against one never-pruning reference per row:
+// each row's ids come from its own drifting window, wider than its 8
+// inline entries, so rows keep spilling and coming back while hellos for
+// other rows land in between. A row can never see another row's entry.
+TEST(NeighborTable, ManyRowsMatchPerRowReferences) {
+    constexpr std::size_t kRows = 48;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        util::Rng rng(seed);
+        HelloSlab slab(kHeartbeat, 4.0);  // 8 inline entries
+        slab.add_rows(kRows);
+        std::vector<ReferenceTable> refs(kRows);
+        std::vector<util::NodeId> base(kRows);
+        for (std::size_t r = 0; r < kRows; ++r) {
+            base[r] = static_cast<util::NodeId>(r * 1000);
+        }
+        sim::Time now = 0;
+        for (int step = 0; step < 20000; ++step) {
+            const double jump = rng.uniform01();
+            if (jump < 0.002) {
+                now += static_cast<sim::Time>(rng.uniform_int(40, 60)) *
+                       500 * sim::kMillisecond;
+            } else if (jump < 0.05) {
+                now += static_cast<sim::Time>(rng.uniform_int(0, 4)) *
+                       500 * sim::kMillisecond;
+            }
+            const auto row = static_cast<util::NodeId>(rng.index(kRows));
+            if (rng.bernoulli(0.02)) {
+                base[row] += 1;
+            }
+            const util::NodeId id =
+                base[row] + static_cast<util::NodeId>(rng.index(14));
+            const double op = rng.uniform01();
+            if (op < 0.7) {
+                slab.on_hello(row, id, now);
+                refs[row].on_hello(id, now);
+            } else if (op < 0.85) {
+                ASSERT_EQ(slab.is_neighbor(row, id, now),
+                          refs[row].is_neighbor(id, now))
+                    << "seed " << seed << " step " << step << " row " << row;
+            } else {
+                ASSERT_EQ(slab.neighbors(row, now), refs[row].neighbors(now))
+                    << "seed " << seed << " step " << step << " row " << row;
+            }
+        }
+        for (util::NodeId r = 0; r < kRows; ++r) {
+            ASSERT_EQ(slab.neighbors(r, now), refs[r].neighbors(now))
+                << "seed " << seed << " row " << r;
+        }
+        EXPECT_GT(slab.spills(), 0u) << "seed " << seed;
+
+        // Once everything has expired, one new id per row brings every
+        // row back inline: refreshing it again is not a spill.
+        now += kExpiry + sim::kSecond;
+        for (util::NodeId r = 0; r < kRows; ++r) {
+            slab.on_hello(r, base[r] + 100, now);
+            refs[r].on_hello(base[r] + 100, now);
+        }
+        const std::uint64_t spills = slab.spills();
+        for (util::NodeId r = 0; r < kRows; ++r) {
+            slab.on_hello(r, base[r] + 100, now);
+            ASSERT_EQ(slab.neighbors(r, now), refs[r].neighbors(now));
+        }
+        EXPECT_EQ(slab.spills(), spills) << "seed " << seed;
+    }
 }
 
 }  // namespace

@@ -613,6 +613,13 @@ class _Parser:
                 i += 2
                 continue
 
+            # Heap construction through the templated factories:
+            # std::make_unique<T>(...), std::make_shared<T>(...).
+            if name in ("make_unique", "make_shared") and nxt == "<":
+                fn["allocs"].append(["std::" + name, t.line])
+                i += 1
+                continue
+
             if name == "random_device":
                 fn["entropy"].append(["std::random_device", t.line])
                 i += 1

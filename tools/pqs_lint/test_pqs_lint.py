@@ -254,6 +254,17 @@ class FlowRuleTest(unittest.TestCase):
         self.assertEqual([h["function"] for h in found[0]["chain"]],
                          ["hot", "helper"])
 
+    def test_transitive_hot_alloc_sees_templated_factories(self):
+        for factory in ("make_unique", "make_shared"):
+            found = self.findings("""
+                #include <memory>
+                void helper() { auto p = std::%s<int>(1); }
+                // pqs-hot
+                void hot() { helper(); }
+            """ % factory, flowrules.RULE_TRANSITIVE_HOT)
+            self.assertEqual(len(found), 1, factory)
+            self.assertIn("std::" + factory, found[0]["message"])
+
     def test_transitive_random_chain(self):
         found = self.findings("""
             int leak() { return std::rand(); }
