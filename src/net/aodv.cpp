@@ -188,6 +188,9 @@ void Aodv::forward_data(PacketPtr p) {
     }
     Route* route = find_route(dst);
     if (route == nullptr || !route_usable(*route)) {
+        if (route != nullptr && route->valid) {
+            ++stack_.world().counters().expired_route_forwards;
+        }
         // No route at an intermediate node: warn the neighborhood, then
         // try a local repair (rediscover from here) if budget remains.
         RerrBody rerr;

@@ -107,8 +107,9 @@ public:
     }
 
     // The registry fields bumped outside the kernel: transmissions by
-    // packet category, load accounting, Byzantine tampers, lease
-    // expirations and deferred refreshes. Merged into kernel_stats().
+    // packet category, expired AODV forwards, load accounting, reply-grace
+    // expiries, Byzantine tampers, lease expirations and deferred
+    // refreshes. Merged into kernel_stats().
     util::KernelStats& counters() { return counters_; }
 
     // Counts one transmission of `p` in its category's tx field. Both link

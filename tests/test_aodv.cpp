@@ -362,6 +362,49 @@ TEST(Aodv, RreqCacheFollowsRecentRateNotRunLength) {
     EXPECT_GT(max_held, 0u);
 }
 
+// A relay whose route is still marked valid but has outlived its
+// lifetime cannot forward; kernel_stats().expired_route_forwards counts
+// each such data packet. On a line D - A - S, A learns its route to D one
+// second before S does (two injected RREQs from D), so between the two
+// expiries S still sends and A must refuse.
+TEST(Aodv, ForwardOverExpiredRouteIsCounted) {
+    WorldParams params = abstract_world(4, 5);
+    params.ensure_connected = false;
+    params.aodv.route_lifetime = 5 * sim::kSecond;
+    World w(params);
+    for (util::NodeId id = 0; id < 4; ++id) {
+        w.set_position(id, {150.0 * id, 0.0});
+    }
+    w.start();
+    const util::NodeId d = 0;
+    const util::NodeId a = 1;
+    const util::NodeId s = 2;
+    RreqBody rreq;
+    rreq.origin = d;
+    rreq.target = 3;  // neither A nor S: ttl 1, nobody replies or forwards
+    rreq.origin_seq = 5;
+    rreq.rreq_id = 1;
+    w.stack(a).aodv().on_rreq(d, rreq, 1);
+    w.simulator().run_until(w.simulator().now() + sim::kSecond);
+    rreq.origin_seq = 6;
+    rreq.rreq_id = 2;
+    rreq.hop_count = 1;
+    w.stack(s).aodv().on_rreq(a, rreq, 1);
+    w.simulator().run_until(w.simulator().now() +
+                            params.aodv.route_lifetime -
+                            500 * sim::kMillisecond);
+    ASSERT_FALSE(w.stack(a).aodv().has_valid_route(d));
+    ASSERT_TRUE(w.stack(s).aodv().has_valid_route(d));
+    EXPECT_EQ(w.kernel_stats().expired_route_forwards, 0u);
+
+    bool delivered = false;
+    w.stack(s).send_routed(d, std::make_shared<Ping>(),
+                           [&](bool ok) { delivered = ok; });
+    w.simulator().run_until(w.simulator().now() + 10 * sim::kSecond);
+    EXPECT_EQ(w.kernel_stats().expired_route_forwards, 1u);
+    EXPECT_TRUE(delivered);  // A's local repair rediscovers D
+}
+
 // A tracker resolved while a discovery drains its queue runs app code
 // synchronously; that code may send again and start new discoveries.
 TEST(Aodv, FailureCallbackMayStartNewDiscoveries) {
