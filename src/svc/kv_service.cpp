@@ -56,7 +56,14 @@ void KvService::read(util::NodeId origin, util::Key key, ReadCallback done,
                 evict(key);
             }
         }
-        if (params_.cache_quorums && r.ok && !r.responders.empty()) {
+        // A directed read of the holders asks |responders| nodes and gets
+        // as many replies. A fresh lookup asks its whole quorum and, by
+        // this read's count, gets about |responders| replies. So a cold
+        // read whose every contacted member held the key is not cached:
+        // aiming at them would cost no less, and would pin the load on
+        // them.
+        if (params_.cache_quorums && r.ok && !r.responders.empty() &&
+            (directed || r.responders.size() < r.nodes_contacted)) {
             cache_[key] = r.responders;
         }
         if (!write_back || !r.ok) {

@@ -60,7 +60,8 @@ struct KvWriteResult {
 
 struct KvParams {
     // Remember responders of successful reads and aim later reads at
-    // them directly.
+    // them directly. A cold read is remembered only when some member it
+    // contacted did not answer: otherwise a directed read saves nothing.
     bool cache_quorums = true;
 };
 
