@@ -12,6 +12,15 @@
 // there (early halting en route). Only ~ln(n) routed requests are needed
 // for the same effective quorum size as RANDOM's sqrt(n) (§8.2). Its
 // requests get no §6.2 replacements: Fig. 9 is measured without them.
+//
+// When a lookup ends. A first-hit lookup ends at its first hit reply, a
+// serial one at a hit or when its targets run out. A parallel lookup that
+// collects every reply ends once every request has resolved (delivered or
+// failed) and a distinct responder has answered each delivered one: no
+// further reply can come. Directed reads of cached holders end this way.
+// Otherwise, and always when no reply has arrived, a parallel lookup ends
+// kReplyGrace (3 s) after its last request resolved, with the replies
+// that came in meanwhile; a reply inside the window retests the rule.
 #pragma once
 
 #include <memory>
@@ -59,7 +68,8 @@ private:
         bool serial = false;
         std::shared_ptr<IntersectionProbe> probe;
         std::vector<Value> collected;  // collect_all_replies mode
-        // Parallel to `collected`: which quorum member sent each value.
+        // Parallel to `collected`: which quorum member sent each value,
+        // each member once.
         std::vector<util::NodeId> responder_ids;
         int replacements_left = 0;     // §6.2 application adaptation
         bool all_sent = false;
