@@ -40,7 +40,10 @@ pqs.bench_frontier/1 (BENCH_frontier.json):
     with issued > 0, rates in [0, 1], mrw_load in (0, 1];
     optimized.msgs_per_op < symmetric.msgs_per_op at EVERY mix (the
     workload-aware sizing must beat symmetric on the wire, not just on
-    paper), and the quorum cache must not inflate messages.
+    paper), and the quorum cache must not inflate messages;
+  - full mode only: every optimized_cached read_p50_s < 1 s (a cached
+    read ends at its holders' replies, not at the 3 s reply grace;
+    smoke runs repeat too few keys to show it).
 
 pqs.bench_energy/1 (BENCH_energy.json):
   - mode in {smoke, full}; non-empty mc.sweep and e2e.duty_sweep lists;
@@ -396,6 +399,13 @@ def check_frontier(path, doc):
                 errors += fail(path, "%s: the quorum cache inflated "
                                "msgs/op (%g vs %g uncached)"
                                % (where, c, o))
+        if doc.get("mode") == "full" and isinstance(cached, dict):
+            p50 = cached.get("read_p50_s")
+            if not isinstance(p50, (int, float)) or p50 >= 1.0:
+                errors += fail(path, "%s: optimized_cached read_p50_s %r "
+                               "is not below 1 s — cached reads are "
+                               "waiting out the reply grace"
+                               % (where, p50))
     return errors
 
 
