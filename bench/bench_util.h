@@ -1,7 +1,7 @@
 // Shared utilities for the benches: environment-driven scaling
 // (PQS_SCALE=smoke|default|paper) and table printing for the
-// figure-reproduction benches, and the JSON helpers of the benches that
-// write a BENCH_*.json file. At the default scale every figure bench
+// figure-reproduction benches, and the command line and JSON writer of
+// the benches that write a BENCH_*.json file. At the default scale every figure bench
 // finishes in seconds-to-a-minute on a laptop; PQS_SCALE=paper runs the
 // paper's full 800-node / 100-advertise / 1000-lookup / multi-run
 // configuration.
@@ -150,6 +150,41 @@ inline exp::ExperimentRunner runner(std::uint64_t run_seed) {
 
 // ---- BENCH_*.json emission (bench_kernel, bench_scale, bench_byzantine,
 // bench_frontier, bench_energy) ----
+//
+// These benches measure and write; scripts/check_bench_json.py holds
+// every gate on what they write.
+
+// Command line of the JSON benches: [--smoke] [--out PATH], and
+// [--n N] for a bench that passes `n`. Anything else prints the usage and
+// exits with status 2.
+struct BenchArgs {
+    bool smoke = false;
+    std::string out;  // default BENCH_<name>.json in the cwd
+
+    const char* mode() const { return smoke ? "smoke" : "full"; }
+};
+
+inline BenchArgs parse_args(int argc, char** argv, const char* name,
+                            std::size_t* n = nullptr) {
+    BenchArgs args;
+    args.out = std::string("BENCH_") + name + ".json";
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--smoke") {
+            args.smoke = true;
+        } else if (arg == "--out" && i + 1 < argc) {
+            args.out = argv[++i];
+        } else if (n != nullptr && arg == "--n" && i + 1 < argc) {
+            *n = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr,
+                                                        10));
+        } else {
+            std::fprintf(stderr, "usage: bench_%s [--smoke]%s [--out PATH]\n",
+                         name, n != nullptr ? " [--n N]" : "");
+            std::exit(2);
+        }
+    }
+    return args;
+}
 
 // Host wall clock, for the informational wall_seconds fields only.
 inline double now_seconds() {
@@ -171,33 +206,88 @@ inline std::string fmt_u64(std::uint64_t v) {
     return buf;
 }
 
-using CounterList = std::vector<std::pair<std::string, std::uint64_t>>;
+// One value of a BENCH_*.json document. Numbers keep the text fmt_double
+// and fmt_u64 give them, and object members keep insertion order. dump()
+// puts a container that holds only scalars on one line and indents the
+// others by two spaces a level. set() and push() return the container,
+// so a value is built in one expression.
+class Json {
+public:
+    Json(double v) : text_(fmt_double(v)) {}
+    Json(std::uint64_t v) : text_(fmt_u64(v)) {}
+    Json(bool v) : text_(v ? "true" : "false") {}
+    Json(const void*) = delete;  // keeps a pointer from turning into a bool
+    Json(const char* s) : text_(quoted(s)) {}
+    Json(const std::string& s) : text_(quoted(s)) {}
 
-// Every field of the counter registry as (name, value), in declaration
-// order.
-inline CounterList counter_list(const util::KernelStats& stats) {
-    CounterList out;
+    static Json object() { return Json('{'); }
+    static Json array() { return Json('['); }
+
+    Json& set(const std::string& key, Json value) {
+        keys_.push_back(key);
+        values_.push_back(std::move(value));
+        return *this;
+    }
+    Json& push(Json value) {
+        values_.push_back(std::move(value));
+        return *this;
+    }
+
+    std::string dump(const std::string& indent = "") const {
+        if (open_ == 0) {
+            return text_;
+        }
+        bool flat = true;
+        for (const Json& v : values_) {
+            flat = flat && v.open_ == 0;
+        }
+        const std::string inner = indent + "  ";
+        std::string out(1, open_);
+        for (std::size_t i = 0; i < values_.size(); ++i) {
+            out += i == 0 ? "" : ",";
+            out += flat ? (i == 0 ? "" : " ") : "\n" + inner;
+            out += open_ == '{' ? quoted(keys_[i]) + ": " : "";
+            out += values_[i].dump(inner);
+        }
+        out += flat ? "" : "\n" + indent;
+        return out + (open_ == '{' ? '}' : ']');
+    }
+
+private:
+    explicit Json(char open) : open_(open) {}
+
+    static std::string quoted(const std::string& s) {
+        std::string out = "\"";
+        for (const char c : s) {
+            if (c == '"' || c == '\\') {
+                out += '\\';
+            }
+            out += c;
+        }
+        return out + '"';
+    }
+
+    char open_ = 0;  // '{' or '[' for a container, 0 for a scalar
+    std::string text_;
+    std::vector<std::string> keys_;
+    std::vector<Json> values_;
+};
+
+// Every field of the counter registry, in declaration order.
+inline Json counters_json(const util::KernelStats& stats) {
+    Json out = Json::object();
     std::size_t count = 0;
     const util::KernelStatsField* fields = util::kernel_stats_fields(&count);
     for (std::size_t i = 0; i < count; ++i) {
-        out.emplace_back(fields[i].name, fields[i].get(stats));
+        out.set(fields[i].name, fields[i].get(stats));
     }
     return out;
 }
 
-// {"name": value, ...} on one line.
-inline std::string counters_json(const CounterList& counters) {
-    std::string j = "{";
-    for (std::size_t i = 0; i < counters.size(); ++i) {
-        j += std::string(i == 0 ? "" : ", ") + "\"" + counters[i].first +
-             "\": " + fmt_u64(counters[i].second);
-    }
-    return j + "}";
-}
-
-// Writes `text` to `path`; on failure says why on stderr and returns
+// Writes `doc` to `path`; on failure says why on stderr and returns
 // false, and the bench exits non-zero.
-inline bool write_file(const std::string& path, const std::string& text) {
+inline bool write_json(const std::string& path, const Json& doc) {
+    const std::string text = doc.dump() + "\n";
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
         std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
@@ -209,6 +299,7 @@ inline bool write_file(const std::string& path, const std::string& text) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return false;
     }
+    std::printf("wrote %s\n", path.c_str());
     return true;
 }
 

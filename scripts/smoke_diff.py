@@ -34,14 +34,12 @@ JSON_BENCHES = ["bench_kernel", "bench_scale", "bench_byzantine",
 HOST_LINES = [re.compile(p) for p in [
     # bench_kernel: events/s of each end-to-end scenario.
     r"^  \S+: \S+ sim events/s ",
-    # bench_kernel: event-queue rates and their ratio.
-    r"^  event_churn: slab4heap \S+ ev/s vs legacy ",
+    # bench_kernel: event-queue rate.
+    r"^  event_churn: \S+ ev/s$",
     # bench_kernel: cancel rate.
     r"^  cancel_reclaim: \S+ cancels/s,",
     # bench_kernel: grid operation rate.
     r"^  grid_mobility: \S+ ops/s ",
-    # bench_kernel: the same event-queue ratio, echoed with the out path.
-    r"^wrote \S+ \(event_churn_speedup=",
     # bench_scale: build and run wall times, events/s.
     r"^  built\+started in \S+s; measured ",
     # bench_scale: peak RSS of the process.
@@ -49,9 +47,8 @@ HOST_LINES = [re.compile(p) for p in [
 ]]
 
 # JSON keys whose values depend on the host: wall times, rates per wall
-# second, ratios of those rates, and resident memory.
-HOST_FIELDS = re.compile(
-    r"(^|_)wall(_|$)|_per_second$|(^|_)speedup$|(^|_)rss(_|$)")
+# second, and resident memory.
+HOST_FIELDS = re.compile(r"(^|_)wall(_|$)|_per_second$|(^|_)rss(_|$)")
 
 
 def programs(build):
