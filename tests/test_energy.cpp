@@ -33,7 +33,9 @@ TEST(EnergyTheory, DutyOneReducesBitExact) {
     for (const auto [qa, ql, n] :
          {std::array<std::size_t, 3>{87, 87, 500},
           std::array<std::size_t, 3>{30, 120, 1000},
-          std::array<std::size_t, 3>{5, 5, 25}}) {
+          std::array<std::size_t, 3>{5, 5, 25},
+          // bench_energy's Monte-Carlo sizes (q = 31 at n = 400, eps = 0.1).
+          std::array<std::size_t, 3>{31, 31, 400}}) {
         EXPECT_EQ(core::duty_cycled_miss_bound(qa, ql, n, 1.0),
                   core::nonintersection_upper_bound(qa, ql, n));
     }
