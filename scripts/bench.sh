@@ -13,16 +13,17 @@
 #                          (joules/lookup, network lifetime)
 #                          (pqs.bench_energy/1)
 # Run it on the machine whose numbers you want to record (the committed
-# baselines come from the 1-core CI container), then commit the refreshed
+# baselines come from a 4-core container), then commit the refreshed
 # files together with a README "Performance" note when the numbers move
 # materially.
 #
 #   scripts/bench.sh          # full workloads (bench_scale at n=100k)
 #   scripts/bench.sh smoke    # shrunk workloads (same as the ctest gates)
 #
-# The emitted JSON is schema-checked here and again by scripts/check.sh;
-# all `counters` fields are deterministic (fixed seeds), so two runs on
-# any machine must differ only in wall/rate/RSS fields.
+# The emitted JSON is checked here by scripts/check_bench_json.py, and
+# again by the <bench>_baseline_json ctests once committed; all
+# `counters` fields are deterministic (fixed seeds), so two runs on any
+# machine must differ only in wall/rate/RSS fields.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,27 +31,17 @@ ROOT=$PWD
 JOBS=$(nproc 2>/dev/null || echo 2)
 MODE="${1:-full}"
 
-cmake -B build -S "$ROOT" >/dev/null
-cmake --build build -j "$JOBS" --target bench_kernel --target bench_scale \
-  --target bench_byzantine --target bench_frontier --target bench_energy
-
 case "$MODE" in
-  full)
-    ./build/bench/bench_kernel --out BENCH_kernel.json
-    ./build/bench/bench_scale --out BENCH_scale.json
-    ./build/bench/bench_byzantine --out BENCH_byzantine.json
-    ./build/bench/bench_frontier --out BENCH_frontier.json
-    ./build/bench/bench_energy --out BENCH_energy.json
-    ;;
-  smoke)
-    ./build/bench/bench_kernel --smoke --out BENCH_kernel.json
-    ./build/bench/bench_scale --smoke --out BENCH_scale.json
-    ./build/bench/bench_byzantine --smoke --out BENCH_byzantine.json
-    ./build/bench/bench_frontier --smoke --out BENCH_frontier.json
-    ./build/bench/bench_energy --smoke --out BENCH_energy.json
-    ;;
+  full) SMOKE="" ;;
+  smoke) SMOKE="--smoke" ;;
   *) echo "usage: scripts/bench.sh [full|smoke]" >&2; exit 2 ;;
 esac
 
-python3 scripts/check_bench_json.py BENCH_kernel.json BENCH_scale.json \
-  BENCH_byzantine.json BENCH_frontier.json BENCH_energy.json
+BENCHES="kernel scale byzantine frontier energy"
+cmake -B build -S "$ROOT" >/dev/null
+cmake --build build -j "$JOBS" $(printf -- '--target bench_%s ' $BENCHES)
+for b in $BENCHES; do
+  ./build/bench/bench_$b $SMOKE --out BENCH_$b.json
+done
+
+python3 scripts/check_bench_json.py $(printf "BENCH_%s.json " $BENCHES)

@@ -3,26 +3,21 @@
 # pass. Mirrors what reviewers will run:
 #
 #   1. warnings-as-errors build (-Wall -Wextra -Wshadow -Wconversion)
-#   2. full ctest suite, which includes the project analyzer (pqs_lint:
-#      line rules + whole-project flow rules with an incremental cache),
-#      its JSON schema gate (pqs_lint_json_schema), its fixture
-#      self-test (test_lint_fixtures), and its unit tests
-#      (pqs_lint_unittests)
-#   3. bench JSON schema gate: the committed BENCH_kernel.json,
-#      BENCH_scale.json, BENCH_byzantine.json, BENCH_frontier.json and
-#      BENCH_energy.json baselines plus fresh `--smoke` emissions of all
-#      five benches must satisfy scripts/check_bench_json.py (schemas
-#      pqs.bench_kernel/1, pqs.bench_scale/1, pqs.bench_byzantine/1,
-#      pqs.bench_frontier/1 and pqs.bench_energy/1 — the byzantine and
-#      energy checks enforce measured failure rates <= their closed-form
-#      bounds; the frontier check fails if the workload-aware optimizer
-#      loses to symmetric sizing)
-#   4. trace JSON schema gate: a fresh `trace_demo --smoke` emission must
+#      and the full ctest suite, which includes the project analyzer
+#      (pqs_lint: line rules + whole-project flow rules with an
+#      incremental cache), its JSON schema gate (pqs_lint_json_schema),
+#      its fixture self-test (test_lint_fixtures), its unit tests
+#      (pqs_lint_unittests), and the bench JSON gates of
+#      scripts/check_bench_json.py on every committed BENCH_*.json and
+#      every `bench_*_smoke` emission (<bench>_baseline_json,
+#      <bench>_smoke_json)
+#   2. project analyzer rerun for a readable report
+#   3. trace JSON schema gate: a fresh `trace_demo --smoke` emission must
 #      satisfy scripts/check_trace_json.py (chrome://tracing-loadable,
 #      with a lookup span nesting packet-hop events)
-#   5. ASan+UBSan build with the debug invariant layer forced on
+#   4. ASan+UBSan build with the debug invariant layer forced on
 #      (PQS_DCHECKS=ON) and the test suite rerun under it
-#   6. clang-format --dry-run gate (soft-skipped if clang-format is
+#   5. clang-format --dry-run gate (soft-skipped if clang-format is
 #      not installed; same for the optional clang-tidy build)
 #
 # Usage: scripts/check.sh [--with-tidy]
@@ -36,12 +31,12 @@ WITH_TIDY=0
 
 step() { printf '\n== %s ==\n' "$*"; }
 
-step "1/6 warnings-as-errors build + tests (build-check)"
+step "1/5 warnings-as-errors build + tests (build-check)"
 cmake -B build-check -S "$ROOT" -DPQS_WERROR=ON >/dev/null
 cmake --build build-check -j "$JOBS"
 ctest --test-dir build-check --output-on-failure -j "$JOBS"
 
-step "2/6 project analyzer (standalone rerun for a readable report)"
+step "2/5 project analyzer (standalone rerun for a readable report)"
 # Reuses the incremental cache the ctest run above populated, prints
 # per-rule wall time, and validates the JSON report against pqs_lint/1.
 python3 tools/pqs_lint/pqs_lint.py --root "$ROOT" --timings \
@@ -51,24 +46,11 @@ python3 scripts/check_lint_json.py build-check/pqs_lint_report.json
 python3 tools/pqs_lint/check_fixtures.py --root "$ROOT"
 python3 tools/pqs_lint/test_pqs_lint.py
 
-step "3/6 bench JSON schema gate (committed baselines + fresh smoke runs)"
-# The ctest pass above already ran bench_kernel --smoke, bench_scale
-# --smoke, bench_byzantine --smoke, bench_frontier --smoke and
-# bench_energy --smoke; validate their emissions alongside the committed
-# baselines.
-python3 scripts/check_bench_json.py BENCH_kernel.json BENCH_scale.json \
-    BENCH_byzantine.json BENCH_frontier.json BENCH_energy.json \
-    build-check/bench/bench_kernel_smoke.json \
-    build-check/bench/bench_scale_smoke.json \
-    build-check/bench/bench_byzantine_smoke.json \
-    build-check/bench/bench_frontier_smoke.json \
-    build-check/bench/bench_energy_smoke.json
-
-step "4/6 trace JSON schema gate (fresh trace_demo --smoke emission)"
+step "3/5 trace JSON schema gate (fresh trace_demo --smoke emission)"
 build-check/examples/trace_demo --smoke --out build-check/trace_smoke
 python3 scripts/check_trace_json.py build-check/trace_smoke_seed12345.json
 
-step "5/6 ASan+UBSan build with PQS_DCHECKS=ON (build-asan)"
+step "4/5 ASan+UBSan build with PQS_DCHECKS=ON (build-asan)"
 cmake -B build-asan -S "$ROOT" -DPQS_WERROR=ON \
       -DPQS_SANITIZE=address,undefined -DPQS_DCHECKS=ON >/dev/null
 cmake --build build-asan -j "$JOBS"
@@ -76,7 +58,7 @@ cmake --build build-asan -j "$JOBS"
 UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-step "6/6 formatting / tidy gates"
+step "5/5 formatting / tidy gates"
 if command -v clang-format >/dev/null 2>&1; then
     find src bench tests examples -name '*.cpp' -o -name '*.h' \
         | xargs clang-format --dry-run -Werror
