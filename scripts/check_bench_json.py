@@ -45,7 +45,9 @@ pqs.bench_frontier/1 (BENCH_frontier.json):
     (it hits under steady traffic);
   - full mode only: every optimized_cached read_p50_s < 1 s (a cached
     read ends at its holders' replies, not at the 3 s reply grace;
-    smoke runs repeat too few keys to show it).
+    smoke runs repeat too few keys to show it), and every config's
+    write_p50_s < 1 s (a write's version query ends at its last
+    member's answer, not at the grace).
 
 pqs.bench_energy/1 (BENCH_energy.json):
   - every mc.sweep point: duty in (0, 1], coverage in [0, 1], bound in
@@ -352,6 +354,11 @@ def check_frontier(doc, err):
                 err("%s: optimized_cached read_p50_s %r is not below 1 s — "
                     "cached reads are waiting out the reply grace"
                     % (where, p50))
+        for label, cfg in by_label.items():
+            p50 = cfg.get("write_p50_s")
+            if full and (not isinstance(p50, (int, float)) or p50 >= 1.0):
+                err("%s: %s write_p50_s %r is not below 1 s — writes are "
+                    "waiting out the reply grace" % (where, label, p50))
 
 
 def check_energy(doc, err):

@@ -131,7 +131,8 @@ struct QuorumRequestMsg final : net::AppMessage {
     Value value = 0;
     util::NodeId origin = util::kInvalidNode;
     bool want_reply = true;       // lookups ask for a routed reply on hit
-    bool want_miss_reply = false; // serial lookups also want negative replies
+    // Serial lookups and version queries also want negative replies.
+    bool want_miss_reply = false;
     std::shared_ptr<IntersectionProbe> probe;
 
     std::size_t size_bytes() const override { return 512; }
@@ -320,9 +321,11 @@ public:
 
     // Performs one quorum access of the configured kind from `origin`.
     // `trace` (0 = untraced) tags every message the access generates so
-    // hop-level events land in the op's span.
+    // hop-level events land in the op's span. `want_misses` makes a lookup
+    // a version query: a member that lacks the key answers with a miss
+    // instead of staying silent. Only RANDOM and RANDOM-OPT read it.
     virtual void access(AccessKind kind, util::NodeId origin, util::Key key,
-                        Value value, obs::TraceId trace,
+                        Value value, obs::TraceId trace, bool want_misses,
                         AccessCallback done) = 0;
 
     // Like access(), but aimed at a caller-provided target set (a cached
@@ -335,7 +338,8 @@ public:
                                  util::Key key, Value value,
                                  const std::vector<util::NodeId>& /*targets*/,
                                  obs::TraceId trace, AccessCallback done) {
-        access(kind, origin, key, value, trace, std::move(done));
+        access(kind, origin, key, value, trace, /*want_misses=*/false,
+               std::move(done));
     }
 
     // Reverse-path reply addressed to one of this strategy's ops.

@@ -122,16 +122,17 @@ void BiquorumSystem::advertise(util::NodeId origin, util::Key key,
     obs::record(trace, obs::EventKind::kSpanBegin, origin,
                 static_cast<std::uint64_t>(AccessKind::kAdvertise), key);
     access_with_retry(AccessKind::kAdvertise, origin, key, value, trace,
-                      ctx_.world.simulator().now(), std::move(done), 1);
+                      /*want_misses=*/false, ctx_.world.simulator().now(),
+                      std::move(done), 1);
 }
 
 void BiquorumSystem::lookup(util::NodeId origin, util::Key key,
-                            AccessCallback done) {
+                            AccessCallback done, bool want_misses) {
     ctx_.load.count_access();
     const obs::TraceId trace = obs::maybe_new_trace();
     obs::record(trace, obs::EventKind::kSpanBegin, origin,
                 static_cast<std::uint64_t>(AccessKind::kLookup), key);
-    access_with_retry(AccessKind::kLookup, origin, key, 0, trace,
+    access_with_retry(AccessKind::kLookup, origin, key, 0, trace, want_misses,
                       ctx_.world.simulator().now(), std::move(done), 1);
 }
 
@@ -143,8 +144,8 @@ void BiquorumSystem::lookup_directed(util::NodeId origin, util::Key key,
     obs::record(trace, obs::EventKind::kSpanBegin, origin,
                 static_cast<std::uint64_t>(AccessKind::kLookup), key);
     access_with_retry(AccessKind::kLookup, origin, key, 0, trace,
-                      ctx_.world.simulator().now(), std::move(done), 1,
-                      &targets);
+                      /*want_misses=*/false, ctx_.world.simulator().now(),
+                      std::move(done), 1, &targets);
 }
 
 namespace {
@@ -166,6 +167,7 @@ struct RetryState {
     util::Key key;
     Value value;
     obs::TraceId trace;
+    bool want_misses;
     sim::Time first_issue;
     AccessCallback done;
     int attempt;
@@ -175,13 +177,14 @@ struct RetryState {
 
 void BiquorumSystem::access_with_retry(
     AccessKind kind, util::NodeId origin, util::Key key, Value value,
-    obs::TraceId trace, sim::Time first_issue, AccessCallback done,
-    int attempt, const std::vector<util::NodeId>* directed) {
+    obs::TraceId trace, bool want_misses, sim::Time first_issue,
+    AccessCallback done, int attempt,
+    const std::vector<util::NodeId>* directed) {
     AccessStrategy& strategy =
         kind == AccessKind::kAdvertise ? *advertise_ : *lookup_;
     auto on_attempt =
-        [this, kind, origin, key, value, trace, first_issue, attempt,
-         done = std::move(done)](const AccessResult& raw) mutable {
+        [this, kind, origin, key, value, trace, want_misses, first_issue,
+         attempt, done = std::move(done)](const AccessResult& raw) mutable {
             AccessResult r = raw;
             if (kind == AccessKind::kLookup && spec_.byzantine_b > 0) {
                 // Vote before the retry decision: an inconclusive attempt
@@ -196,17 +199,17 @@ void BiquorumSystem::access_with_retry(
                             static_cast<std::uint64_t>(attempt),
                             static_cast<std::uint64_t>(delay));
                 auto state = std::make_shared<RetryState>(
-                    RetryState{kind, origin, key, value, trace, first_issue,
-                               std::move(done), attempt});
+                    RetryState{kind, origin, key, value, trace, want_misses,
+                               first_issue, std::move(done), attempt});
                 const std::uint64_t token = next_retry_token_++;
                 retry_timers_[token] = ctx_.world.simulator().schedule_in(
                     delay, [this, token, state] {
                         retry_timers_.erase(token);
-                        access_with_retry(state->kind, state->origin,
-                                          state->key, state->value,
-                                          state->trace, state->first_issue,
-                                          std::move(state->done),
-                                          state->attempt + 1);
+                        access_with_retry(
+                            state->kind, state->origin, state->key,
+                            state->value, state->trace, state->want_misses,
+                            state->first_issue, std::move(state->done),
+                            state->attempt + 1);
                     });
                 return;
             }
@@ -235,7 +238,7 @@ void BiquorumSystem::access_with_retry(
         strategy.access_directed(kind, origin, key, value, *directed, trace,
                                  std::move(on_attempt));
     } else {
-        strategy.access(kind, origin, key, value, trace,
+        strategy.access(kind, origin, key, value, trace, want_misses,
                         std::move(on_attempt));
     }
 }

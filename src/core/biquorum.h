@@ -54,8 +54,12 @@ public:
     // and the final AccessResult reports the attempt count.
     void advertise(util::NodeId origin, util::Key key, Value value,
                    AccessCallback done);
-    // One lookup-quorum access (same retry behavior).
-    void lookup(util::NodeId origin, util::Key key, AccessCallback done);
+    // One lookup-quorum access (same retry behavior). With `want_misses`
+    // it is a version query: a member that lacks the key answers with a
+    // miss instead of staying silent, so the query can end at its last
+    // member's answer rather than at the reply grace (RANDOM lookups).
+    void lookup(util::NodeId origin, util::Key key, AccessCallback done,
+                bool want_misses = false);
 
     // Lookup aimed at a cached target set (svc/ per-key quorum cache):
     // the first attempt contacts `targets` directly (no §6.2 replacement
@@ -75,12 +79,13 @@ private:
     // One access plus its (possible) retries. `attempt` is 1-based.
     // `first_issue` is when attempt 1 was issued: the final result's
     // latency spans from there, so retries and backoff delays count.
-    // `directed` (may be null) aims the first attempt at a caller-given
-    // target set; retries always revert to fresh random quorums.
+    // `want_misses` (see lookup()) holds for every attempt. `directed`
+    // (may be null) aims the first attempt at a caller-given target set;
+    // retries always revert to fresh random quorums.
     void access_with_retry(AccessKind kind, util::NodeId origin,
                            util::Key key, Value value, obs::TraceId trace,
-                           sim::Time first_issue, AccessCallback done,
-                           int attempt,
+                           bool want_misses, sim::Time first_issue,
+                           AccessCallback done, int attempt,
                            const std::vector<util::NodeId>* directed =
                                nullptr);
 

@@ -1,6 +1,5 @@
 #include "core/random_strategy.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "net/node_stack.h"
@@ -53,27 +52,22 @@ void RandomStrategy::attach_node(util::NodeId id) {
                 if (!entry) {
                     return true;  // late reply for a resolved op
                 }
-                if (reply->found) {
-                    if (config_.collect_all_replies) {
-                        // One reply per responder: a repeat (a duplicated
-                        // delivery, or a §6.2 replacement that re-picked a
-                        // node already asked) adds no value, vote or
-                        // responder.
-                        std::vector<util::NodeId>& ids =
-                            entry->state.responder_ids;
-                        if (std::find(ids.begin(), ids.end(),
-                                      reply->responder) != ids.end()) {
-                            return true;
-                        }
-                        entry->state.collected.push_back(reply->value);
-                        ids.push_back(reply->responder);
-                        maybe_finish(reply->op);
-                    } else {
-                        finish(reply->op, true, reply->value);
-                    }
-                } else if (entry->state.serial) {
+                OpState& state = entry->state;
+                if (reply->found && !config_.collect_all_replies) {
+                    finish(reply->op, true, reply->value);
+                } else if (!reply->found && state.serial) {
                     send_to_target(reply->op, reply->op.origin,
                                    util::kInvalidNode);
+                } else if (!state.answered(reply->responder)) {
+                    if (reply->found) {
+                        state.collected.push_back(reply->value);
+                        state.responder_ids.push_back(reply->responder);
+                    } else {
+                        // A version query's miss: the member's answer, with
+                        // no value, vote or responder.
+                        state.missed.push_back(reply->responder);
+                    }
+                    maybe_finish(reply->op);
                 }
                 return true;
             }
@@ -108,21 +102,25 @@ std::optional<Value> RandomStrategy::serve(util::NodeId id,
 void RandomStrategy::on_request(util::NodeId id,
                                 const QuorumRequestMsg& req) {
     const std::optional<Value> found = serve(id, req);
-    if (req.kind == AccessKind::kAdvertise) {
+    if (req.kind == AccessKind::kAdvertise || !req.want_reply) {
         return;
     }
-    if ((found && req.want_reply) || (!found && req.want_miss_reply)) {
-        send_reply(id, req, found.has_value(), found.value_or(0));
-    } else if (!found && req.want_reply) {
-        // An honest node stays silent on a miss; a Byzantine quorum member
-        // answers every query (the masking threat model). One pointer load
-        // when no tamper is installed — bit-identical to the pre-hook
-        // build.
-        net::ReplyTamper* tamper = ctx_.world.tamper();
-        Value lie = 0;
-        if (tamper != nullptr && tamper->on_lookup_miss(id, req.key, lie)) {
-            send_reply(id, req, true, lie);
-        }
+    if (found) {
+        send_reply(id, req, true, *found);
+        return;
+    }
+    // A miss. A Byzantine quorum member answers every query (the masking
+    // threat model), so its tamper goes first, whether or not the lookup
+    // asked for misses. An honest node answers a miss only when asked to
+    // (serial lookups, version queries) and otherwise stays silent. One
+    // pointer load when no tamper is installed — bit-identical to the
+    // pre-hook build.
+    net::ReplyTamper* tamper = ctx_.world.tamper();
+    Value lie = 0;
+    if (tamper != nullptr && tamper->on_lookup_miss(id, req.key, lie)) {
+        send_reply(id, req, true, lie);
+    } else if (req.want_miss_reply) {
+        send_reply(id, req, false, 0);
     }
 }
 
@@ -157,11 +155,12 @@ void RandomStrategy::send_reply(util::NodeId from,
 
 void RandomStrategy::access(AccessKind kind, util::NodeId origin,
                             util::Key key, Value value, obs::TraceId trace,
-                            AccessCallback done) {
+                            bool want_misses, AccessCallback done) {
     // RANDOM-OPT runs without replacements, as Fig. 9 is measured.
     const int replacements =
         config_.kind == StrategyKind::kRandomOpt ? 0 : kReplacementTargets;
-    start_op(kind, origin, key, value, trace, std::move(done), replacements,
+    start_op(kind, origin, key, value, trace, want_misses, std::move(done),
+             replacements,
              ctx_.membership->sample(origin, config_.quorum_size));
 }
 
@@ -171,7 +170,8 @@ void RandomStrategy::access_directed(AccessKind kind, util::NodeId origin,
                                      obs::TraceId trace, AccessCallback done) {
     if (targets.empty()) {
         // An empty hint means the caller has nothing cached.
-        access(kind, origin, key, value, trace, std::move(done));
+        access(kind, origin, key, value, trace, /*want_misses=*/false,
+               std::move(done));
         return;
     }
     // Exactly the given targets, no random top-up: a directed access aims
@@ -185,13 +185,14 @@ void RandomStrategy::access_directed(AccessKind kind, util::NodeId origin,
     }
     // No §6.2 replacements: a dead cached target must produce a visible
     // miss, not a silently healed quorum (the caller owns invalidation).
-    start_op(kind, origin, key, value, trace, std::move(done),
-             /*replacements=*/0, std::move(quorum));
+    start_op(kind, origin, key, value, trace, /*want_misses=*/false,
+             std::move(done), /*replacements=*/0, std::move(quorum));
 }
 
 void RandomStrategy::start_op(AccessKind kind, util::NodeId origin,
                               util::Key key, Value value, obs::TraceId trace,
-                              AccessCallback done, int replacements,
+                              bool want_misses, AccessCallback done,
+                              int replacements,
                               std::vector<util::NodeId> targets) {
     const util::AccessId op = next_op(origin);
     auto probe = std::make_shared<IntersectionProbe>();
@@ -204,6 +205,7 @@ void RandomStrategy::start_op(AccessKind kind, util::NodeId origin,
     entry->state.value = value;
     entry->state.probe = std::move(probe);
     entry->state.serial = config_.serial && kind == AccessKind::kLookup;
+    entry->state.want_misses = want_misses;
     entry->state.replacements_left = replacements;
     entry->state.trace = trace;
     entry->state.targets = std::move(targets);
@@ -262,7 +264,7 @@ void RandomStrategy::send_to_target(util::AccessId op, util::NodeId origin,
     msg->value = state.value;
     msg->origin = origin;
     msg->want_reply = state.kind == AccessKind::kLookup;
-    msg->want_miss_reply = state.serial;
+    msg->want_miss_reply = state.serial || state.want_misses;
     msg->probe = state.probe;
     ++state.outstanding;
     ctx_.world.stack(origin).send_routed(
@@ -319,13 +321,15 @@ void RandomStrategy::maybe_finish(util::AccessId op) {
     if (state.serial) {
         return;  // serial lookups conclude via replies
     }
-    // Parallel lookup, every request resolved. Once a distinct responder
-    // has answered each delivered request, no further reply can come: end
-    // with the replies in hand. Otherwise wait kReplyGrace for replies
-    // still in flight, then end with what came (a miss if nothing did);
-    // each reply inside the window runs this test again.
-    if (!state.collected.empty() &&
-        state.responder_ids.size() >= state.delivered) {
+    // Parallel lookup, every request resolved. Once a distinct member has
+    // answered each delivered request, no further answer can come: end
+    // with the replies in hand (a miss if every answer was one). Otherwise
+    // wait kReplyGrace for answers still in flight, then end with what
+    // came (a miss if no value did); each answer inside the window runs
+    // this test again.
+    const std::size_t answers =
+        state.responder_ids.size() + state.missed.size();
+    if (answers > 0 && answers >= state.delivered) {
         finish(op, false, 0);
         return;
     }

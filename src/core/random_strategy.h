@@ -14,15 +14,20 @@
 // requests get no §6.2 replacements: Fig. 9 is measured without them.
 //
 // When a lookup ends. A first-hit lookup ends at its first hit reply, a
-// serial one at a hit or when its targets run out. A parallel lookup that
-// collects every reply ends once every request has resolved (delivered or
-// failed) and a distinct responder has answered each delivered one: no
-// further reply can come. Directed reads of cached holders end this way.
-// Otherwise, and always when no reply has arrived, a parallel lookup ends
-// kReplyGrace (3 s) after its last request resolved, with the replies
-// that came in meanwhile; a reply inside the window retests the rule.
+// serial one at a hit or when its targets run out. A member that lacks
+// the key stays silent, unless the lookup is serial or a version query
+// (a KV write's phase 1), whose members all answer, with a miss if need
+// be. A parallel lookup ends once every request has resolved (delivered
+// or failed) and a distinct member has answered each delivered one: no
+// further answer can come. If every answer was a miss, it ends as a miss.
+// Directed reads of cached holders and version queries end this way.
+// Otherwise, and always when no answer has arrived, a parallel lookup
+// ends kReplyGrace (3 s) after its last request resolved, with the
+// replies that came in meanwhile; an answer inside the window retests
+// the rule.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -44,7 +49,7 @@ public:
     std::string name() const override { return strategy_name(config_.kind); }
     void attach_node(util::NodeId id) override;
     void access(AccessKind kind, util::NodeId origin, util::Key key,
-                Value value, obs::TraceId trace,
+                Value value, obs::TraceId trace, bool want_misses,
                 AccessCallback done) override;
     // Directed access: contacts the given targets (truncated to the
     // configured quorum size) with §6.2 replacements disabled, so a dead
@@ -66,15 +71,29 @@ private:
         std::size_t outstanding = 0;   // in-flight routed sends
         std::size_t delivered = 0;
         bool serial = false;
+        bool want_misses = false;      // a version query
         std::shared_ptr<IntersectionProbe> probe;
         std::vector<Value> collected;  // collect_all_replies mode
         // Parallel to `collected`: which quorum member sent each value,
         // each member once.
         std::vector<util::NodeId> responder_ids;
+        // Members that answered a version query with a miss, each once,
+        // and none of them in `responder_ids`.
+        std::vector<util::NodeId> missed;
         int replacements_left = 0;     // §6.2 application adaptation
         bool all_sent = false;
         sim::EventId grace_timer = sim::kInvalidEvent;
         obs::TraceId trace = 0;
+
+        // Each member answers once, with a value or a miss. A repeat (a
+        // duplicated delivery, or a §6.2 replacement that re-picked a
+        // node already asked) adds no value, vote or answer.
+        bool answered(util::NodeId member) const {
+            const auto in = [member](const std::vector<util::NodeId>& ids) {
+                return std::find(ids.begin(), ids.end(), member) != ids.end();
+            };
+            return in(responder_ids) || in(missed);
+        }
     };
 
     // Counts `id`'s load and acts on a request it received or relays: an
@@ -87,8 +106,9 @@ private:
                     bool found, Value value);
     // Opens an op aimed at `targets` and launches it.
     void start_op(AccessKind kind, util::NodeId origin, util::Key key,
-                  Value value, obs::TraceId trace, AccessCallback done,
-                  int replacements, std::vector<util::NodeId> targets);
+                  Value value, obs::TraceId trace, bool want_misses,
+                  AccessCallback done, int replacements,
+                  std::vector<util::NodeId> targets);
     // Issues the op's already-chosen target list (serial or parallel).
     void launch_targets(util::AccessId op, util::NodeId origin);
     void send_to_target(util::AccessId op, util::NodeId origin,

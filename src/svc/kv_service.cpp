@@ -87,12 +87,13 @@ void KvService::read(util::NodeId origin, util::Key key, ReadCallback done,
 
 void KvService::write(util::NodeId origin, util::Key key, std::uint32_t data,
                       WriteCallback done) {
-    // Phase 1: full (undirected) lookup for the current version. Writes
-    // never use the cache — a missed base version is how a wrapped
-    // counter clobbers data, so the write path always pays for a fresh
-    // quorum.
-    loc_.biquorum().lookup(
-        origin, key,
+    // Phase 1: a version query of a full (undirected) lookup quorum. Every
+    // member answers, one that lacks the key with a miss, so the query
+    // ends at its last answer instead of waiting out the reply grace for
+    // members that would stay silent. Writes never use the cache — a
+    // missed base version is how a wrapped counter clobbers data, so the
+    // write path always pays for a fresh quorum.
+    auto on_version =
         [this, origin, key, data,
          done = std::move(done)](const core::AccessResult& r) {
             KvWriteResult out;
@@ -131,7 +132,9 @@ void KvService::write(util::NodeId origin, util::Key key, std::uint32_t data,
                     result.version = next;
                     if (done) done(result);
                 });
-        });
+        };
+    loc_.biquorum().lookup(origin, key, std::move(on_version),
+                           /*want_misses=*/true);
 }
 
 void KvService::on_node_refreshed(util::NodeId node) {

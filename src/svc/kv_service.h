@@ -5,14 +5,17 @@
 // yields *probabilistic linearizability* — every operation behaves
 // atomically with probability >= the quorum intersection guarantee.
 //
-//  write(v):  phase 1 — read the current version from a lookup quorum;
+//  write(v):  phase 1 — a version query of a lookup quorum, which every
+//             member answers (one that lacks the key with a miss), so it
+//             ends at its last member's answer, not at the reply grace;
 //             phase 2 — store (version+1, v) at an advertise quorum. The
 //             write is refused, not issued, when phase 1 finds no
 //             trustworthy version base (b-masking) or a saturated
 //             version counter (register.h kMaxVersion).
-//  read():    phase 1 — query a lookup quorum and take the highest
-//             version; phase 2 (optional write-back) — re-advertise that
-//             value so later reads cannot see an older one.
+//  read():    phase 1 — query a lookup quorum, whose members that lack
+//             the key stay silent, and take the highest version; phase 2
+//             (optional write-back) — re-advertise that value so later
+//             reads cannot see an older one.
 //
 // Reads also keep a per-key lookup-quorum cache: a successful collected
 // lookup remembers which concrete nodes replied and aims the next read at

@@ -212,6 +212,8 @@ CASES = [
      ["measured.mixes[0]:", "the quorum cache inflated msgs/op"]),
     ("frontier", "measured.mixes.0.configs.2.read_p50_s", 1.0,
      ["measured.mixes[0]:", "read_p50_s", "is not below 1 s"]),
+    ("frontier", "measured.mixes.1.configs.0.write_p50_s", 1.0,
+     ["measured.mixes[1]:", "symmetric write_p50_s", "is not below 1 s"]),
     ("frontier", "measured.mixes.0.configs.2.cache_hit_rate", 0.3,
      ["measured.mixes[0]:", "the quorum cache never hit"]),
 

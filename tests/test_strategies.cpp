@@ -1,15 +1,17 @@
 // Per-strategy behaviour tests: each access strategy advertises and looks
 // up on a real (abstract-fidelity) network and must deliver the paper's
 // basic guarantees — hits on published keys, definite misses on unknown
-// keys, early halting, cross-layer behaviours, and when a collect-all
-// lookup ends.
+// keys, early halting, cross-layer behaviours, when a collect-all lookup
+// or a version query ends, and a faulty member's forged answers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "core/location_service.h"
 #include "membership/oracle_membership.h"
+#include "net/tamper.h"
 #include "obs/trace.h"
 
 namespace pqs::core {
@@ -79,6 +81,35 @@ AccessResult run_lookup(Services& s, util::NodeId origin, util::Key key) {
     return out;
 }
 
+// A node for which `forges` holds answers every lookup for a key it lacks
+// with kLie, as a faulty member does under the masking threat model. Every
+// lookup reply node `muted` sends is lost, as a Byzantine drop (or a lost
+// packet) would lose it.
+struct LookupTamper final : net::ReplyTamper {
+    static constexpr Value kLie = 666;
+    std::function<bool(util::NodeId)> forges = [](util::NodeId) {
+        return false;
+    };
+    util::NodeId muted = util::kInvalidNode;
+
+    net::TamperVerdict on_send(util::NodeId at, const net::AppMsgPtr& msg,
+                               net::AppMsgPtr&) override {
+        const bool reply =
+            dynamic_cast<const QuorumReplyMsg*>(msg.get()) != nullptr;
+        return at == muted && reply ? net::TamperVerdict::kDrop
+                                    : net::TamperVerdict::kPass;
+    }
+    bool on_reply_value(util::NodeId, std::uint64_t, std::uint64_t&,
+                        std::uint64_t) override {
+        return true;
+    }
+    bool on_lookup_miss(util::NodeId at, std::uint64_t,
+                        std::uint64_t& forged_value) override {
+        forged_value = kLie;
+        return forges(at);
+    }
+};
+
 // ---- RANDOM x RANDOM (the Malkhi et al. baseline, §5.1) ----
 
 TEST(RandomRandom, AdvertiseThenHit) {
@@ -123,15 +154,31 @@ TEST(RandomSerial, EarlyHaltsOnFirstHit) {
               s.service->biquorum().spec().lookup.quorum_size);
 }
 
-// ---- Collect-all directed lookups on a line ----
+// A serial lookup asks for miss replies, yet a faulty member still forges
+// on a miss: its tamper goes before the honest miss.
+TEST(RandomSerial, FaultyMemberForgesOnAMiss) {
+    LookupTamper tamper;
+    tamper.forges = [](util::NodeId) { return true; };
+    Services s = build(StrategyKind::kRandom, StrategyKind::kRandom, 60, 2,
+                       [](BiquorumSpec& spec) { spec.lookup.serial = true; });
+    s.world->set_tamper(&tamper);
+    const AccessResult look = run_lookup(s, 20, 7);  // never advertised
+    EXPECT_TRUE(look.ok);
+    EXPECT_EQ(look.value, LookupTamper::kLie);
+    EXPECT_EQ(look.nodes_contacted, 1u);
+}
+
+// ---- Collect-all lookups and version queries on a line ----
 
 // A line 0 - 1 - ... - 7, 150 m apart with a 200 m range: node i is i hops
-// from node 0, the origin of every lookup here. Lookups are directed, so
-// the test picks the exact targets, and collect every reply.
+// from node 0, the origin of every lookup here. Lookups collect every
+// reply. Directed ones ask the targets the test picks; undirected ones ask
+// every node, since each membership view holds all eight.
 struct DirectedLine : ::testing::Test {
     static constexpr std::size_t kN = 8;
     static constexpr util::Key kKey = 5;
     static constexpr Value kValue = 50;
+    LookupTamper tamper;  // installed by the tests that need it
     std::unique_ptr<net::World> world;
     std::unique_ptr<membership::OracleMembership> membership;
     std::unique_ptr<LocationService> service;
@@ -146,7 +193,8 @@ struct DirectedLine : ::testing::Test {
         for (util::NodeId id = 0; id < kN; ++id) {
             world->set_position(id, {150.0 * id, 0.0});
         }
-        membership = std::make_unique<membership::OracleMembership>(*world);
+        membership = std::make_unique<membership::OracleMembership>(
+            *world, membership::OracleMembershipParams{kN});
         BiquorumSpec spec;
         spec.advertise.kind = StrategyKind::kRandom;
         spec.lookup.kind = StrategyKind::kRandom;
@@ -163,14 +211,13 @@ struct DirectedLine : ::testing::Test {
         }
     }
 
-    AccessResult lookup(const std::vector<util::NodeId>& targets) {
+    AccessResult await(const std::function<void(AccessCallback)>& issue) {
         AccessResult out;
         bool done = false;
-        service->biquorum().lookup_directed(0, kKey, targets,
-                                            [&](const AccessResult& r) {
-                                                out = r;
-                                                done = true;
-                                            });
+        issue([&](const AccessResult& r) {
+            out = r;
+            done = true;
+        });
         const sim::Time deadline =
             world->simulator().now() + 60 * sim::kSecond;
         while (!done && world->simulator().now() < deadline &&
@@ -178,6 +225,22 @@ struct DirectedLine : ::testing::Test {
         }
         EXPECT_TRUE(done) << "lookup did not resolve";
         return out;
+    }
+
+    AccessResult lookup(const std::vector<util::NodeId>& targets) {
+        return await([&](AccessCallback done) {
+            service->biquorum().lookup_directed(0, kKey, targets,
+                                                std::move(done));
+        });
+    }
+
+    // An undirected lookup, which asks every node; with `want_misses`, a
+    // version query.
+    AccessResult ask_all(bool want_misses) {
+        return await([&](AccessCallback done) {
+            service->biquorum().lookup(0, kKey, std::move(done),
+                                       want_misses);
+        });
     }
 
     static std::vector<util::NodeId> sorted(std::vector<util::NodeId> ids) {
@@ -327,6 +390,115 @@ TEST_F(DirectedLine, RepeatedRepliesDoNotEndTheLookupEarly) {
     EXPECT_EQ(look.values, (std::vector<Value>(2, kValue)));
     EXPECT_LT(look.latency, sim::kSecond);
     EXPECT_EQ(grace_expiries(), graces);
+}
+
+// A version query: every member answers, one that lacks the key with a
+// miss, so the query ends at the last answer, with values and responders
+// from the holders only. A read of the same members, where members that
+// lack the key stay silent, collects the same replies but waits out the
+// grace.
+TEST_F(DirectedLine, VersionQueryEndsAtTheLastMembersAnswer) {
+    hold({1, 4});
+    const std::uint64_t graces = grace_expiries();
+    const AccessResult query = ask_all(/*want_misses=*/true);
+    ASSERT_TRUE(query.ok);
+    EXPECT_LT(query.latency, sim::kSecond);
+    EXPECT_EQ(grace_expiries(), graces);
+    EXPECT_EQ(sorted(query.responders), (std::vector<util::NodeId>{1, 4}));
+    EXPECT_EQ(query.values, (std::vector<Value>(2, kValue)));
+    EXPECT_EQ(query.nodes_contacted, kN);
+
+    const AccessResult read = ask_all(/*want_misses=*/false);
+    ASSERT_TRUE(read.ok);
+    EXPECT_GE(read.latency, 3 * sim::kSecond);
+    EXPECT_EQ(grace_expiries(), graces + 1);
+    EXPECT_EQ(sorted(read.responders), sorted(query.responders));
+    EXPECT_EQ(read.values, query.values);
+    EXPECT_EQ(read.nodes_contacted, kN);
+}
+
+// No member holds the key: the version query ends at the last miss, as a
+// miss, and nothing of it reaches the origin afterwards.
+TEST_F(DirectedLine, VersionQueryWithoutHoldersEndsAtTheLastMiss) {
+    obs::TraceSink sink(world->simulator(), 1 << 14);
+    obs::ScopedTraceSink scope(&sink);
+    const std::uint64_t graces = grace_expiries();
+    const AccessResult query = ask_all(/*want_misses=*/true);
+    const sim::Time end = world->simulator().now();
+    EXPECT_FALSE(query.ok);
+    EXPECT_TRUE(query.values.empty());
+    EXPECT_TRUE(query.responders.empty());
+    EXPECT_EQ(query.nodes_contacted, kN);
+    EXPECT_LT(query.latency, sim::kSecond);
+    EXPECT_EQ(grace_expiries(), graces);
+    world->simulator().run_until(end + 10 * sim::kSecond);
+    sim::Time last = 0;
+    for (std::size_t i = 0; i < sink.size(); ++i) {
+        const obs::TraceEvent& e = sink.event(i);
+        if (e.trace == query.trace && e.node == 0 &&
+            e.kind == obs::EventKind::kPacketDeliver) {
+            last = std::max(last, e.t);
+        }
+    }
+    EXPECT_EQ(last, end);
+    EXPECT_EQ(sink.dropped(), 0u);
+}
+
+// A member whose answer is lost (here each reply of node 7, as a
+// Byzantine drop would lose it) cannot be told from a slow one: the
+// version query waits out the grace, then ends with the answers in hand.
+TEST_F(DirectedLine, VersionQueryWithASilentMemberEndsAtTheGrace) {
+    hold({1});
+    tamper.muted = 7;
+    world->set_tamper(&tamper);
+    const std::uint64_t graces = grace_expiries();
+    const AccessResult query = ask_all(/*want_misses=*/true);
+    ASSERT_TRUE(query.ok);
+    EXPECT_GE(query.latency, 3 * sim::kSecond);
+    EXPECT_EQ(grace_expiries(), graces + 1);
+    EXPECT_EQ(query.responders, (std::vector<util::NodeId>{1}));
+    EXPECT_EQ(query.nodes_contacted, kN);
+}
+
+// With every delivery duplicated, the near members' repeated misses
+// arrive long before the far holder's answer. Each member counts once, so
+// the version query still waits for the far holder, then ends without the
+// grace.
+TEST_F(DirectedLine, RepeatedMissRepliesCountOnce) {
+    hold({7});
+    world->link().set_fault_injection(net::LinkFaults{0.0, 1.0});
+    const std::uint64_t graces = grace_expiries();
+    const AccessResult query = ask_all(/*want_misses=*/true);
+    ASSERT_TRUE(query.ok);
+    EXPECT_EQ(query.responders, (std::vector<util::NodeId>{7}));
+    EXPECT_EQ(query.values, (std::vector<Value>{kValue}));
+    EXPECT_LT(query.latency, sim::kSecond);
+    EXPECT_EQ(grace_expiries(), graces);
+}
+
+// A retried version query is a version query too: one that ends as a
+// miss is asked again after the 500 ms backoff, and each attempt ends at
+// its last answer, not at the grace.
+TEST_F(DirectedLine, RetriedVersionQueryStillEndsAtItsLastAnswer) {
+    service->biquorum().context().retry.max_attempts = 2;
+    const std::uint64_t graces = grace_expiries();
+    const AccessResult query = ask_all(/*want_misses=*/true);
+    EXPECT_FALSE(query.ok);
+    EXPECT_EQ(query.attempts, 2);
+    EXPECT_LT(query.latency, 2 * sim::kSecond);
+    EXPECT_EQ(grace_expiries(), graces);
+}
+
+// A faulty member answers a version query with a forged value, not with
+// the honest miss the query asked for.
+TEST_F(DirectedLine, VersionQueryCollectsAFaultyMembersForgedValue) {
+    tamper.forges = [](util::NodeId id) { return id == 3; };
+    world->set_tamper(&tamper);
+    const AccessResult query = ask_all(/*want_misses=*/true);
+    ASSERT_TRUE(query.ok);
+    EXPECT_EQ(query.responders, (std::vector<util::NodeId>{3}));
+    EXPECT_EQ(query.values, (std::vector<Value>{LookupTamper::kLie}));
+    EXPECT_LT(query.latency, sim::kSecond);
 }
 
 // ---- RANDOM-OPT (§4.5) ----

@@ -2,8 +2,8 @@
 // semantics, §10) and its write refusals, exact Zipf sampling, open-loop
 // determinism (single- and multi-threaded fan-out), the per-key
 // quorum-cache staleness regression, cached reads that end at their
-// holders' replies, and the workload driver's timeout and in-flight
-// censoring accounting.
+// holders' replies, writes whose version query ends at its last answer,
+// and the workload driver's timeout and in-flight censoring accounting.
 #include "svc/workload_driver.h"
 
 #include <gtest/gtest.h>
@@ -525,6 +525,56 @@ TEST_F(WorkloadFixture, CachedReadEndsAtItsLastHoldersReply) {
     std::sort(holders.begin(), holders.end());
     std::sort(again.begin(), again.end());
     EXPECT_EQ(again, holders);
+}
+
+// A write's phase 1 is a version query: every member answers, one that
+// lacks the key with a miss, so the write ends well under the 3 s reply
+// grace. An uncached read of the same members still leaves them silent: it
+// sends exactly what a plain lookup sends and waits out the grace.
+TEST_F(WorkloadFixture, WriteEndsAtItsLastAnswerWhileAnUncachedReadWaits) {
+    constexpr std::size_t kN = 40;
+    constexpr util::NodeId kOrigin = 3;
+    constexpr util::Key kKey = 9;
+    // eps = 0.01 sizes lookup quorums above the 2 sqrt(n) view, so every
+    // lookup from kOrigin asks its whole view: the read and the write's
+    // version query ask the same members.
+    const auto setup = [&] {
+        build(kN, 37, 0.01, KvParams{/*cache_quorums=*/false});
+        for (util::NodeId id = 0; id < kN; id += 2) {
+            location->store(id).store_owner(
+                kKey, core::pack(core::Versioned{1, 5}));
+        }
+    };
+    const auto data_tx = [&] { return world->kernel_stats().data_tx; };
+    const auto graces = [&] {
+        return world->kernel_stats().reply_grace_expiries;
+    };
+
+    setup();
+    ASSERT_GE(kv->biquorum().spec().lookup.quorum_size,
+              membership::default_view_size(kN));
+    bool looked_up = false;
+    kv->biquorum().lookup(kOrigin, kKey, [&](const core::AccessResult&) {
+        looked_up = true;
+    });
+    drive(looked_up);
+    const std::uint64_t plain_tx = data_tx();
+
+    setup();
+    const sim::Time read_start = world->simulator().now();
+    const KvReadResult r = read(kOrigin, kKey);
+    ASSERT_TRUE(r.ok);
+    EXPECT_FALSE(r.from_cache);
+    EXPECT_EQ(data_tx(), plain_tx);
+    EXPECT_GE(world->simulator().now() - read_start, 3 * sim::kSecond);
+    EXPECT_EQ(graces(), 1u);
+
+    const sim::Time write_start = world->simulator().now();
+    const KvWriteResult w = write(kOrigin, kKey, 6);
+    ASSERT_TRUE(w.ok);
+    EXPECT_EQ(w.version, 2u);
+    EXPECT_LT(world->simulator().now() - write_start, sim::kSecond);
+    EXPECT_EQ(graces(), 1u);
 }
 
 // Regression (dropped tail): operations still in flight at the end of the
