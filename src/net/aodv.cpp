@@ -78,11 +78,11 @@ std::uint16_t Aodv::route_hops(util::NodeId dst) const {
     return route != nullptr && route_usable(*route) ? route->hops : 0;
 }
 
-void Aodv::install_route(util::NodeId dst, util::NodeId next_hop,
-                         std::uint16_t hops, util::SeqNum seq,
-                         bool seq_known) {
+Aodv::Route* Aodv::install_route(util::NodeId dst, util::NodeId next_hop,
+                                 std::uint16_t hops, util::SeqNum seq,
+                                 bool seq_known, sim::Time lifetime) {
     if (dst == stack_.id()) {
-        return;
+        return nullptr;
     }
     auto it = lower_bound_dst(routes_, dst);
     if (it == routes_.end() || it->dst != dst) {
@@ -98,14 +98,15 @@ void Aodv::install_route(util::NodeId dst, util::NodeId next_hop,
                          (seq_known == route.seq_known && seq == route.seq &&
                           hops < route.hops);
     if (!replace) {
-        return;
+        return &route;
     }
     route.next_hop = next_hop;
     route.hops = hops;
     route.seq = seq;
     route.seq_known = seq_known;
     route.valid = true;
-    route.expiry = stack_.world().simulator().now() + params_.route_lifetime;
+    route.expiry = stack_.world().simulator().now() + lifetime;
+    return &route;
 }
 
 void Aodv::send_data(util::NodeId dst, AppMsgPtr msg,
@@ -180,6 +181,7 @@ void Aodv::forward_data(PacketPtr p) {
     const DataBody& data = p->data();
     const util::NodeId dst = data.net_dst;
     if (p->ttl <= 1) {
+        ++stack_.world().counters().ttl_expired_drops;
         obs::record(p->trace, obs::EventKind::kPacketDrop, stack_.id(), dst);
         if (data.tracker) {
             data.tracker->resolve(false);
@@ -380,7 +382,8 @@ void Aodv::on_rreq(util::NodeId from, const RreqBody& body, int ttl) {
     // Reverse route to the origin through the neighbor we heard this from.
     install_route(body.origin, from,
                   static_cast<std::uint16_t>(body.hop_count + 1),
-                  body.origin_seq, /*seq_known=*/true);
+                  body.origin_seq, /*seq_known=*/true,
+                  params_.route_lifetime);
 
     if (body.target == stack_.id()) {
         my_seq_ = std::max(my_seq_, body.target_seq);
@@ -389,12 +392,14 @@ void Aodv::on_rreq(util::NodeId from, const RreqBody& body, int ttl) {
         rrep.target = stack_.id();
         rrep.target_seq = ++my_seq_;
         rrep.hop_count = 0;
+        rrep.lifetime = params_.route_lifetime;
         send_rrep_towards(body.origin, rrep);
         return;
     }
     // Intermediate reply when we have a fresh-enough route — with enough
     // remaining lifetime that the data following the RREP will still find
-    // it usable here.
+    // it usable here. The RREP hands on only that remainder (RFC 3561
+    // §6.6.2), so no copy of the route outlives it.
     const Route* route = find_route(body.target);
     const sim::Time min_remaining = 10 * params_.node_traversal_time;
     if (route != nullptr && route_usable(*route) &&
@@ -405,6 +410,7 @@ void Aodv::on_rreq(util::NodeId from, const RreqBody& body, int ttl) {
         rrep.target = body.target;
         rrep.target_seq = route->seq;
         rrep.hop_count = route->hops;
+        rrep.lifetime = route->expiry - now;
         send_rrep_towards(body.origin, rrep);
         return;
     }
@@ -450,16 +456,24 @@ void Aodv::send_rrep_towards(util::NodeId origin, const RrepBody& body) {
 }
 
 void Aodv::on_rrep(util::NodeId from, const RrepBody& body) {
-    // Forward route to the target through the RREP sender.
-    install_route(body.target, from,
-                  static_cast<std::uint16_t>(body.hop_count + 1),
-                  body.target_seq, /*seq_known=*/true);
+    // Forward route to the target through the RREP sender, for as long as
+    // the RREP allows (RFC 3561 §6.7).
+    const Route* route =
+        install_route(body.target, from,
+                      static_cast<std::uint16_t>(body.hop_count + 1),
+                      body.target_seq, /*seq_known=*/true, body.lifetime);
     if (body.origin == stack_.id()) {
         discovery_succeeded(body.target);
         return;
     }
+    // The origin's copy leads through this node's own route: the RREP's,
+    // unless the route kept above was better. Hand on what is left of it,
+    // as an intermediate reply does (§6.6.2).
     RrepBody fwd = body;
     fwd.hop_count = static_cast<std::uint16_t>(body.hop_count + 1);
+    if (route != nullptr) {
+        fwd.lifetime = route->expiry - stack_.world().simulator().now();
+    }
     send_rrep_towards(body.origin, fwd);
 }
 

@@ -10,6 +10,17 @@
 // precursor lists (RERRs are one-hop broadcasts re-propagated by affected
 // nodes) and local repair at intermediate nodes.
 //
+// Route lifetimes follow RFC 3561 §6.6.1, §6.6.2 and §6.7: every RREP
+// carries what is left of its sender's own route to the target — the
+// destination's route_lifetime, or the remainder of an intermediate's or
+// a relay's route — and each node it reaches installs the forward route
+// for exactly that long. A copy of a route thus never outlives the route
+// it leads through, so it cannot answer that route's rediscovery with a
+// path back through the node that lost it (a two-node loop). Unlike §6.7,
+// a relay whose own route beat the RREP's still forwards it, with its own
+// route's remainder. Reverse routes from RREQs last route_lifetime, and
+// every use of a route extends it to route_lifetime from then.
+//
 // Per-node state is flat. A node remembers each RREQ id for
 // PATH_DISCOVERY_TIME (RFC 3561 §6.3) in arrival order, so its memory
 // follows the recent RREQ rate, not the length of the run. Routes sit in
@@ -114,8 +125,12 @@ private:
     Discovery take_pending(std::vector<Discovery>::iterator it);
     bool route_usable(const Route& route) const;
     void touch_route(Route& route);
-    void install_route(util::NodeId dst, util::NodeId next_hop,
-                       std::uint16_t hops, util::SeqNum seq, bool seq_known);
+    // Installs a route expiring `lifetime` from now unless the usable
+    // route already held is better. Returns dst's entry, installed or
+    // kept; null for this node itself.
+    Route* install_route(util::NodeId dst, util::NodeId next_hop,
+                         std::uint16_t hops, util::SeqNum seq,
+                         bool seq_known, sim::Time lifetime);
     void transmit_data(util::NodeId dst, AppMsgPtr msg,
                        std::shared_ptr<DeliveryTracker> tracker,
                        std::uint8_t repairs);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "sim/time.h"
 #include "util/ids.h"
 #include "util/pool.h"
 
@@ -68,6 +69,10 @@ struct RrepBody {
     util::NodeId target = util::kInvalidNode;  // route destination
     util::SeqNum target_seq = 0;
     std::uint16_t hop_count = 0;
+    // How long a receiver may use the forward route (RFC 3561 §6.6): what
+    // is left of the sender's own route to the target, route_lifetime at
+    // the destination itself.
+    sim::Time lifetime = 0;
 };
 
 struct RerrBody {
@@ -87,6 +92,8 @@ struct DataBody {
 
 using PacketBody =
     std::variant<HelloBody, RreqBody, RrepBody, RerrBody, DataBody>;
+// Data is the largest body; control bodies must not grow the packet.
+static_assert(sizeof(RrepBody) <= sizeof(DataBody));
 
 struct Packet {
     util::NodeId link_src = util::kInvalidNode;

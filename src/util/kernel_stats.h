@@ -2,8 +2,8 @@
 // (schedule/fire/cancel, heap ops, slab recycling), the spatial grid
 // (queries, candidate scans, moves), the packet pool, and the counters
 // bumped above the kernel — transmissions by packet category, expired
-// AODV forwards, load accounting, reply-grace expiries, Byzantine
-// tampers, energy and leases. Every counter is driven purely by
+// AODV forwards and TTL drops, load accounting, reply-grace expiries,
+// Byzantine tampers, energy and leases. Every counter is driven purely by
 // simulation behaviour, so for a fixed seed the whole block is
 // deterministic — bench and regression harnesses assert on it verbatim,
 // while wall-clock time stays a separate, informational measurement.
@@ -47,6 +47,7 @@ namespace pqs::util {
     X(routing_tx)        /* AODV RREQ/RREP/RERR sent on air */            \
     X(data_tx)           /* data packets sent on air, one per hop */      \
     X(expired_route_forwards) /* forwards refused: route valid, expired */ \
+    X(ttl_expired_drops) /* data packets dropped at a relay by TTL */     \
     X(reply_grace_expiries) /* parallel lookups ended by the reply grace */
 
 struct KernelStats {

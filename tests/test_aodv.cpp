@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "net/node_stack.h"
@@ -20,6 +21,23 @@ WorldParams abstract_world(std::size_t n, std::uint64_t seed = 1) {
     p.seed = seed;
     p.oracle_neighbors = true;  // no warm-up needed
     return p;
+}
+
+// n nodes 150 m apart on a line: with the 200 m range each hears only its
+// neighbours on either side.
+std::unique_ptr<World> line_world(std::size_t n, WorldParams params) {
+    params.n = n;
+    params.ensure_connected = false;
+    auto w = std::make_unique<World>(params);
+    for (util::NodeId id = 0; id < n; ++id) {
+        w->set_position(id, {150.0 * id, 0.0});
+    }
+    w->start();
+    return w;
+}
+
+std::unique_ptr<World> line_world(std::size_t n) {
+    return line_world(n, abstract_world(n, 5));
 }
 
 // Farthest alive node from `from` (guaranteed multihop at our densities).
@@ -369,13 +387,9 @@ TEST(Aodv, RreqCacheFollowsRecentRateNotRunLength) {
 // expiries S still sends and A must refuse.
 TEST(Aodv, ForwardOverExpiredRouteIsCounted) {
     WorldParams params = abstract_world(4, 5);
-    params.ensure_connected = false;
     params.aodv.route_lifetime = 5 * sim::kSecond;
-    World w(params);
-    for (util::NodeId id = 0; id < 4; ++id) {
-        w.set_position(id, {150.0 * id, 0.0});
-    }
-    w.start();
+    const auto world = line_world(4, params);
+    World& w = *world;
     const util::NodeId d = 0;
     const util::NodeId a = 1;
     const util::NodeId s = 2;
@@ -403,6 +417,180 @@ TEST(Aodv, ForwardOverExpiredRouteIsCounted) {
     w.simulator().run_until(w.simulator().now() + 10 * sim::kSecond);
     EXPECT_EQ(w.kernel_stats().expired_route_forwards, 1u);
     EXPECT_TRUE(delivered);  // A's local repair rediscovers D
+}
+
+// RFC 3561 §6.6.1 and §6.7: a destination's RREP carries route_lifetime,
+// and every node it passes on the way back installs the forward route for
+// that long. On a line D - A - S, S's RREQ reaches D through A; A's and
+// S's routes to D both last route_lifetime from the RREP's arrival.
+TEST(Aodv, DestinationRrepGivesTheFullRouteLifetime) {
+    const auto world = line_world(3);
+    World& w = *world;
+    const util::NodeId d = 0;
+    const util::NodeId a = 1;
+    const util::NodeId s = 2;
+    const sim::Time lifetime = w.params().aodv.route_lifetime;
+    // The RREP is back at S within A's forwarding jitter plus three hops.
+    const sim::Time settle = w.params().aodv.rreq_jitter +
+                             3 * w.params().abstract_link.delay_max;
+    const sim::Time sent = w.simulator().now();
+    // ttl 2: A has no route to D, so it rebroadcasts and D answers.
+    w.stack(a).aodv().on_rreq(
+        s, {.origin = s, .target = d, .origin_seq = 1, .rreq_id = 1}, 2);
+    w.simulator().run_until(sent + settle);
+    ASSERT_EQ(w.stack(s).aodv().route_hops(d), 2u);
+    ASSERT_EQ(w.stack(a).aodv().route_hops(d), 1u);
+
+    w.simulator().run_until(sent + lifetime);
+    EXPECT_TRUE(w.stack(a).aodv().has_valid_route(d));
+    EXPECT_TRUE(w.stack(s).aodv().has_valid_route(d));
+    w.simulator().run_until(sent + settle + lifetime);
+    EXPECT_FALSE(w.stack(a).aodv().has_valid_route(d));
+    EXPECT_FALSE(w.stack(s).aodv().has_valid_route(d));
+}
+
+// RFC 3561 §6.6.2: an intermediate node answers with what is left of its
+// own route, so the origin's copy expires with it and not a full
+// route_lifetime later. On a line D - A - S, A learns its route to D from
+// a RREQ of D's and answers S's RREQ for D halfway through that route's
+// life.
+TEST(Aodv, IntermediateRrepHandsOnItsRemainingLifetime) {
+    const auto world = line_world(3);
+    World& w = *world;
+    const util::NodeId d = 0;
+    const util::NodeId a = 1;
+    const util::NodeId s = 2;
+    const sim::Time lifetime = w.params().aodv.route_lifetime;
+    const sim::Time delay_max = w.params().abstract_link.delay_max;
+    const sim::Time learned = w.simulator().now();
+    // ttl 1: A neither answers nor forwards D's RREQ for S.
+    w.stack(a).aodv().on_rreq(
+        d, {.origin = d, .target = s, .origin_seq = 5, .rreq_id = 1}, 1);
+
+    w.simulator().run_until(learned + lifetime / 2);
+    w.stack(a).aodv().on_rreq(
+        s, {.origin = s, .target = d, .origin_seq = 1, .rreq_id = 1}, 1);
+    w.simulator().run_until(learned + lifetime / 2 + delay_max);
+    ASSERT_EQ(w.stack(s).aodv().route_hops(d), 2u);
+
+    w.simulator().run_until(learned + lifetime - 1);
+    ASSERT_TRUE(w.stack(a).aodv().has_valid_route(d));
+    EXPECT_TRUE(w.stack(s).aodv().has_valid_route(d));
+    // A's route is gone at learned + lifetime; S's copy outlives it only
+    // by the RREP's one-hop delay.
+    w.simulator().run_until(learned + lifetime + delay_max);
+    ASSERT_FALSE(w.stack(a).aodv().has_valid_route(d));
+    EXPECT_FALSE(w.stack(s).aodv().has_valid_route(d));
+}
+
+// A relay that keeps its own, better route to the target still forwards
+// the RREP, and the origin's copy leads through the relay's route; so the
+// RREP carries that route's remainder, not the lifetime it arrived with.
+// On a line T - R - O - X, R learns a one-hop route to T; 40 s later a
+// RREP for O offering a full-lifetime route to T, no shorter, reaches R.
+TEST(Aodv, RelayKeepingItsOwnRouteHandsOnThatRoutesLifetime) {
+    const auto world = line_world(4);
+    World& w = *world;
+    const util::NodeId t = 0;
+    const util::NodeId r = 1;
+    const util::NodeId o = 2;
+    const util::NodeId x = 3;
+    const sim::Time lifetime = w.params().aodv.route_lifetime;
+    const sim::Time delay_max = w.params().abstract_link.delay_max;
+    const sim::Time learned = w.simulator().now();
+    // ttl 1: R neither answers nor forwards T's RREQ for O.
+    w.stack(r).aodv().on_rreq(
+        t, {.origin = t, .target = o, .origin_seq = 5, .rreq_id = 1}, 1);
+
+    w.simulator().run_until(learned + 40 * sim::kSecond);
+    // R's reverse route to O, from O's RREQ for X (R has no route to X).
+    w.stack(r).aodv().on_rreq(
+        o, {.origin = o, .target = x, .origin_seq = 1, .rreq_id = 1}, 1);
+    // hop_count 0 makes R's candidate one hop: no better than its own.
+    w.stack(r).aodv().on_rrep(t, {.origin = o,
+                                  .target = t,
+                                  .target_seq = 5,
+                                  .hop_count = 0,
+                                  .lifetime = lifetime});
+    w.simulator().run_until(learned + 40 * sim::kSecond + delay_max);
+    ASSERT_EQ(w.stack(o).aodv().route_hops(t), 2u);
+
+    w.simulator().run_until(learned + lifetime - 1);
+    ASSERT_TRUE(w.stack(r).aodv().has_valid_route(t));
+    EXPECT_TRUE(w.stack(o).aodv().has_valid_route(t));
+    w.simulator().run_until(learned + lifetime + delay_max);
+    ASSERT_FALSE(w.stack(r).aodv().has_valid_route(t));
+    EXPECT_FALSE(w.stack(o).aodv().has_valid_route(t));
+}
+
+// The routing loop that copied routes used to close. On a line
+// D - B - C - A - S, A discovers D and delivers; half a route lifetime
+// later S learns its route to D from A's RREP. Once A's route has
+// expired, A rediscovers D. S still held a fresh copy, so it answered
+// A's first ring through A itself, and the data circled A and S until its
+// TTL ran out. Now S's copy expires with A's route, D answers the next
+// ring, and the data arrives.
+TEST(Aodv, ExpiredRouteIsNotAnsweredByItsOwnCopy) {
+    const auto world = line_world(5);
+    World& w = *world;
+    const util::NodeId d = 0;
+    const util::NodeId a = 3;
+    const util::NodeId s = 4;
+    const sim::Time lifetime = w.params().aodv.route_lifetime;
+    const sim::Time start = w.simulator().now();
+    bool first = false;
+    w.stack(a).send_routed(d, std::make_shared<Ping>(),
+                           [&](bool ok) { first = ok; });
+    w.simulator().run_until(start + lifetime / 2);
+    ASSERT_TRUE(first);
+    ASSERT_EQ(w.stack(a).aodv().route_hops(d), 3u);
+
+    w.stack(a).aodv().on_rreq(
+        s, {.origin = s, .target = d, .origin_seq = 1, .rreq_id = 1}, 1);
+    w.simulator().run_until(start + lifetime + sim::kSecond);
+    ASSERT_FALSE(w.stack(a).aodv().has_valid_route(d));
+
+    bool second = false;
+    w.stack(a).send_routed(d, std::make_shared<Ping>(),
+                           [&](bool ok) { second = ok; });
+    w.simulator().run_until(w.simulator().now() + 10 * sim::kSecond);
+    EXPECT_TRUE(second);
+    EXPECT_EQ(w.stack(a).aodv().route_hops(d), 3u);
+    EXPECT_EQ(w.kernel_stats().ttl_expired_drops, 0u);
+}
+
+// A data packet whose TTL runs out at a relay is dropped and counted in
+// kernel_stats().ttl_expired_drops. Two injected RREPs point A's and S's
+// routes to D at each other, and A's packet circles them.
+TEST(Aodv, TtlExpiryDropIsCounted) {
+    const auto world = line_world(3);
+    World& w = *world;
+    const util::NodeId d = 0;
+    const util::NodeId a = 1;
+    const util::NodeId s = 2;
+    RrepBody rrep{.origin = a,
+                  .target = d,
+                  .target_seq = 5,
+                  .hop_count = 1,
+                  .lifetime = 10 * sim::kSecond};
+    w.stack(a).aodv().on_rrep(s, rrep);
+    rrep.origin = s;
+    w.stack(s).aodv().on_rrep(a, rrep);
+    ASSERT_TRUE(w.stack(a).aodv().has_valid_route(d));
+    ASSERT_TRUE(w.stack(s).aodv().has_valid_route(d));
+
+    bool resolved = false;
+    bool delivered = true;
+    w.stack(a).send_routed(d, std::make_shared<Ping>(), [&](bool ok) {
+        resolved = true;
+        delivered = ok;
+    });
+    w.simulator().run_until(w.simulator().now() + sim::kSecond);
+    ASSERT_TRUE(resolved);
+    EXPECT_FALSE(delivered);
+    EXPECT_EQ(w.kernel_stats().ttl_expired_drops, 1u);
+    // One transmission per TTL value: 64 down to 1.
+    EXPECT_EQ(w.kernel_stats().data_tx, 64u);
 }
 
 // A tracker resolved while a discovery drains its queue runs app code

@@ -358,19 +358,25 @@ ScenarioParams adversarial_params() {
     return p;
 }
 
+// Re-pinned when RREPs came to carry their route's remaining lifetime:
+// the voting lookups wait out the reply grace, so this run lasts about
+// 111 s of virtual time and outlives its first routes. Copies learned
+// from intermediates now expire with the routes they lead through and
+// are rediscovered, which adds messages and moves the tamper draws. The
+// other goldens end within 60 s of their first route.
 const Fingerprint kGoldenByzantine = {
-    .events_scheduled = 48528,
-    .events_fired = 47692,
-    .events_cancelled = 708,
+    .events_scheduled = 48860,
+    .events_fired = 48021,
+    .events_cancelled = 711,
     .callback_heap_allocs = 0,
-    .grid_queries = 12218,
-    .grid_moves = 14636,
+    .grid_queries = 12333,
+    .grid_moves = 14699,
     .grid_cell_crossings = 51,
     .advertise_quorum = 22,
     .lookup_quorum = 22,
     .hits = 30,  // voting masks both adversaries: every lookup still hits
     .intersects = 30,
-    .msgs_total = 21552,
+    .msgs_total = 21656,
 };
 
 TEST(GoldenDeterminism, ByzantineScenarioFingerprint) {
@@ -384,7 +390,7 @@ TEST(GoldenDeterminism, ByzantineScenarioFingerprint) {
            "justify the new numbers in the PR body.";
     // Adversary accounting, pinned exactly (doubles holding integers).
     EXPECT_EQ(r.byzantine_marked, 2.0);
-    EXPECT_EQ(r.byzantine_tampered, 14.0);
+    EXPECT_EQ(r.byzantine_tampered, 16.0);
 }
 
 TEST(GoldenDeterminism, ByzantineRepeatRunBitIdentical) {

@@ -3,7 +3,8 @@
 // determinism (single- and multi-threaded fan-out), the per-key
 // quorum-cache staleness regression, cached reads that end at their
 // holders' replies, writes whose version query ends at its last answer,
-// and the workload driver's timeout and in-flight censoring accounting.
+// a two-minute open-loop run that loses no reply to a routing loop, and
+// the workload driver's timeout and in-flight censoring accounting.
 #include "svc/workload_driver.h"
 
 #include <gtest/gtest.h>
@@ -575,6 +576,35 @@ TEST_F(WorkloadFixture, WriteEndsAtItsLastAnswerWhileAnUncachedReadWaits) {
     EXPECT_EQ(w.version, 2u);
     EXPECT_LT(world->simulator().now() - write_start, sim::kSecond);
     EXPECT_EQ(graces(), 1u);
+}
+
+// Regression (looping replies): a route copied from an intermediate's
+// RREP used to last a full route lifetime. Once the route it was copied
+// from expired, after 60 s unused, the copy could answer that route's
+// rediscovery through the very node that had lost it; quorum traffic then
+// circled the two until its TTL ran out, and each lost reply held its
+// write to the 3 s reply grace. Two minutes of open-loop KV traffic on a
+// static network now lose no packet to a TTL, and no write waits for the
+// grace. A write's two phases may each start with a full expanding-ring
+// discovery (0.8 s of ring timeouts before the network-wide ring), so
+// the bar for the slowest write is 2 s.
+TEST_F(WorkloadFixture, LongRunLosesNoPacketToATtlAndNoWriteWaits) {
+    KvWorkloadParams wp;
+    wp.key_count = 200;
+    wp.read_fraction = 0.9;
+    wp.arrival_rate = 20.0;
+    wp.horizon = 120 * sim::kSecond;
+    wp.drain = 10 * sim::kSecond;
+    wp.seed = 101;
+    build(150, 101);
+    prepopulate(wp);
+    KvWorkloadDriver driver(*kv, wp);
+    const KvWorkloadReport r = driver.run();
+    ASSERT_GT(r.writes, 100u);
+    EXPECT_EQ(r.censored, 0u);
+    EXPECT_EQ(world->kernel_stats().ttl_expired_drops, 0u);
+    // quantile(1) is the slowest write, to its bucket's 1/16 octave.
+    EXPECT_LT(r.write_latency.quantile(1.0), 2.0);
 }
 
 // Regression (dropped tail): operations still in flight at the end of the
