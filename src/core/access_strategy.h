@@ -321,9 +321,10 @@ public:
 
     // Performs one quorum access of the configured kind from `origin`.
     // `trace` (0 = untraced) tags every message the access generates so
-    // hop-level events land in the op's span. `want_misses` makes a lookup
-    // a version query: a member that lacks the key answers with a miss
-    // instead of staying silent. Only RANDOM and RANDOM-OPT read it.
+    // hop-level events land in the op's span. With `want_misses` a lookup
+    // member that lacks the key answers with a miss instead of staying
+    // silent (KvService's undirected reads and version queries). Only
+    // RANDOM and RANDOM-OPT read it.
     virtual void access(AccessKind kind, util::NodeId origin, util::Key key,
                         Value value, obs::TraceId trace, bool want_misses,
                         AccessCallback done) = 0;

@@ -55,9 +55,10 @@ public:
     void advertise(util::NodeId origin, util::Key key, Value value,
                    AccessCallback done);
     // One lookup-quorum access (same retry behavior). With `want_misses`
-    // it is a version query: a member that lacks the key answers with a
-    // miss instead of staying silent, so the query can end at its last
-    // member's answer rather than at the reply grace (RANDOM lookups).
+    // a member that lacks the key answers with a miss instead of staying
+    // silent, so the lookup can end at its last member's answer rather
+    // than at the reply grace (RANDOM lookups). KvService asks for misses
+    // on every undirected lookup: a read, and a write's version query.
     void lookup(util::NodeId origin, util::Key key, AccessCallback done,
                 bool want_misses = false);
 

@@ -63,8 +63,8 @@ void RandomStrategy::attach_node(util::NodeId id) {
                         state.collected.push_back(reply->value);
                         state.responder_ids.push_back(reply->responder);
                     } else {
-                        // A version query's miss: the member's answer, with
-                        // no value, vote or responder.
+                        // A miss the lookup asked for: the member's answer,
+                        // with no value, vote or responder.
                         state.missed.push_back(reply->responder);
                     }
                     maybe_finish(reply->op);
@@ -112,8 +112,8 @@ void RandomStrategy::on_request(util::NodeId id,
     // A miss. A Byzantine quorum member answers every query (the masking
     // threat model), so its tamper goes first, whether or not the lookup
     // asked for misses. An honest node answers a miss only when asked to
-    // (serial lookups, version queries) and otherwise stays silent. One
-    // pointer load when no tamper is installed — bit-identical to the
+    // (serial lookups, undirected KV lookups) and otherwise stays silent.
+    // One pointer load when no tamper is installed — bit-identical to the
     // pre-hook build.
     net::ReplyTamper* tamper = ctx_.world.tamper();
     Value lie = 0;

@@ -15,16 +15,20 @@
 //
 // When a lookup ends. A first-hit lookup ends at its first hit reply, a
 // serial one at a hit or when its targets run out. A member that lacks
-// the key stays silent, unless the lookup is serial or a version query
-// (a KV write's phase 1), whose members all answer, with a miss if need
-// be. A parallel lookup ends once every request has resolved (delivered
-// or failed) and a distinct member has answered each delivered one: no
-// further answer can come. If every answer was a miss, it ends as a miss.
-// Directed reads of cached holders and version queries end this way.
-// Otherwise, and always when no answer has arrived, a parallel lookup
-// ends kReplyGrace (3 s) after its last request resolved, with the
-// replies that came in meanwhile; an answer inside the window retests
-// the rule.
+// the key stays silent, unless the lookup is serial or asks for misses
+// (every undirected KV lookup: a read, or a write's version query), whose
+// members all answer, with a miss if need be. A parallel lookup ends once
+// every request has resolved (delivered or failed) and a distinct member
+// has answered each delivered one: no further answer can come. If every
+// answer was a miss, it ends as a miss. Directed reads of cached holders
+// and lookups that ask for misses end this way. Otherwise, and always
+// when no answer has arrived, a parallel lookup ends kReplyGrace (3 s)
+// after its last request resolved, with the replies that came in
+// meanwhile; an answer inside the window retests the rule. So a lookup
+// that does not ask for misses ends at the grace whenever a member lacks
+// the key and no hit ends it first, and one that does still ends there
+// when a member's answer is lost, or when a member is asked twice (a
+// §6.2 replacement that re-picks an asked node) but answers once.
 #pragma once
 
 #include <algorithm>
@@ -71,14 +75,14 @@ private:
         std::size_t outstanding = 0;   // in-flight routed sends
         std::size_t delivered = 0;
         bool serial = false;
-        bool want_misses = false;      // a version query
+        bool want_misses = false;      // members answer misses too
         std::shared_ptr<IntersectionProbe> probe;
         std::vector<Value> collected;  // collect_all_replies mode
         // Parallel to `collected`: which quorum member sent each value,
         // each member once.
         std::vector<util::NodeId> responder_ids;
-        // Members that answered a version query with a miss, each once,
-        // and none of them in `responder_ids`.
+        // Members that answered with a miss, each once, and none of them
+        // in `responder_ids`.
         std::vector<util::NodeId> missed;
         int replacements_left = 0;     // §6.2 application adaptation
         bool all_sent = false;

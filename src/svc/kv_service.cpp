@@ -57,11 +57,11 @@ void KvService::read(util::NodeId origin, util::Key key, ReadCallback done,
             }
         }
         // A directed read of the holders asks |responders| nodes and gets
-        // as many replies. A fresh lookup asks its whole quorum and, by
-        // this read's count, gets about |responders| replies. So a cold
-        // read whose every contacted member held the key is not cached:
-        // aiming at them would cost no less, and would pin the load on
-        // them.
+        // as many replies. A fresh lookup asks its whole quorum and gets a
+        // reply from each member, a miss from one that lacks the key. So a
+        // cold read whose every contacted member held the key is not
+        // cached: aiming at them would cost no less, and would pin the
+        // load on them.
         if (params_.cache_quorums && r.ok && !r.responders.empty() &&
             (directed || r.responders.size() < r.nodes_contacted)) {
             cache_[key] = r.responders;
@@ -77,11 +77,15 @@ void KvService::read(util::NodeId origin, util::Key key, ReadCallback done,
                                       if (done) done(out);
                                   });
     };
+    // An undirected read asks for misses, as a write's version query does:
+    // every member answers, so the read ends at its last member's answer
+    // with the values and responders the reply grace would have collected.
     if (directed) {
         loc_.biquorum().lookup_directed(origin, key, targets,
                                         std::move(handler));
     } else {
-        loc_.biquorum().lookup(origin, key, std::move(handler));
+        loc_.biquorum().lookup(origin, key, std::move(handler),
+                               /*want_misses=*/true);
     }
 }
 

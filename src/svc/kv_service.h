@@ -12,10 +12,11 @@
 //             write is refused, not issued, when phase 1 finds no
 //             trustworthy version base (b-masking) or a saturated
 //             version counter (register.h kMaxVersion).
-//  read():    phase 1 — query a lookup quorum, whose members that lack
-//             the key stay silent, and take the highest version; phase 2
-//             (optional write-back) — re-advertise that value so later
-//             reads cannot see an older one.
+//  read():    phase 1 — query a lookup quorum and take the highest
+//             version; every member answers (one that lacks the key with
+//             a miss), so an uncached read too ends at its last member's
+//             answer; phase 2 (optional write-back) — re-advertise that
+//             value so later reads cannot see an older one.
 //
 // Reads also keep a per-key lookup-quorum cache: a successful collected
 // lookup remembers which concrete nodes replied and aims the next read at
@@ -64,7 +65,7 @@ struct KvWriteResult {
 struct KvParams {
     // Remember responders of successful reads and aim later reads at
     // them directly. A cold read is remembered only when some member it
-    // contacted did not answer: otherwise a directed read saves nothing.
+    // contacted lacked the key: otherwise a directed read saves nothing.
     bool cache_quorums = true;
 };
 
