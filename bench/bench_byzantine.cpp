@@ -14,7 +14,8 @@
 // Part 2, end-to-end: run_scenario with a sim::ByzantinePlan marking b
 // nodes (mixed DROP/STALE/FABRICATE/REPLAY behaviors) and the value-voting
 // lookup path, reporting hit ratio, vote-inconclusive rate, MRW load
-// L(S), and how many replies the adversary actually tampered with.
+// L(S), how many replies the adversary actually tampered with, the median
+// latency of a successful lookup and the transmissions per lookup.
 //
 // Emits BENCH_byzantine.json (schema pqs.bench_byzantine/1).
 //
@@ -189,10 +190,12 @@ int main(int argc, char** argv) {
         e2e.push_back(pt);
         const core::ScenarioResult& r = pt.result;
         std::printf("  e2e b=%zu mix=%s: hit=%.3f inconclusive=%.3f "
-                    "mrw_load=%.4f tampered=%.0f marked=%.0f\n",
+                    "mrw_load=%.4f tampered=%.0f marked=%.0f "
+                    "lookup_p50=%.3fs msgs/lookup=%.1f\n",
                     b, mix_name.c_str(), r.hit_ratio, r.inconclusive_rate,
                     r.load.mrw_load, r.byzantine_tampered,
-                    r.byzantine_marked);
+                    r.byzantine_marked, r.latency_hist.quantile(0.5),
+                    r.msgs_per_lookup);
     }
     const double e2e_wall = now_seconds() - t1;
 
@@ -222,6 +225,8 @@ int main(int argc, char** argv) {
                 .set("theory_load", core::access_load(r.lookup_quorum, n_e2e))
                 .set("tampered", r.byzantine_tampered)
                 .set("marked", r.byzantine_marked)
+                .set("lookup_p50_s", r.latency_hist.quantile(0.5))
+                .set("msgs_per_lookup", r.msgs_per_lookup)
                 .set("aborted", r.aborted));
     }
     const Json doc = Json::object()

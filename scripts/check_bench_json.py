@@ -26,9 +26,10 @@ pqs.bench_byzantine/1 (BENCH_byzantine.json):
     closed-form b-masking bound);
   - a b = 0 mc point (the Corollary 5.3 reduction anchor);
   - every e2e.sweep point: rates in [0, 1], mrw_load in (0, 1],
-    aborted == 0; at b == 0 tampered == 0 and inconclusive_rate == 0;
-    at b > 0 tampered > 0, marked == b and hit_ratio > 0.5 (voting
-    preserves most lookups).
+    aborted == 0, lookup_p50_s in [0, 1) (a voting lookup ends at its
+    last member's answer, not at the 3 s reply grace); at b == 0
+    tampered == 0 and inconclusive_rate == 0; at b > 0 tampered > 0,
+    marked == b and hit_ratio > 0.5 (voting preserves most lookups).
 
 pqs.bench_frontier/1 (BENCH_frontier.json):
   - every analytic mix: best and symmetric configs with sizes > 0,
@@ -239,6 +240,7 @@ def check_byzantine(doc, err):
         inconclusive = number(err, pt, where, "inconclusive_rate", "[0, 1]")
         number(err, pt, where, "mrw_load", "(0, 1]")
         number(err, pt, where, "aborted", "[0, 0]")
+        number(err, pt, where, "lookup_p50_s", "[0, 1)")
         tampered = number(err, pt, where, "tampered", "[0, inf)")
         if b == 0 and tampered is not None and tampered != 0:
             err("%s: replies tampered at b = 0" % where)

@@ -130,8 +130,7 @@ struct QuorumRequestMsg final : net::AppMessage {
     util::Key key = 0;
     Value value = 0;
     util::NodeId origin = util::kInvalidNode;
-    bool want_reply = true;       // lookups ask for a routed reply on hit
-    // Serial lookups and version queries also want negative replies.
+    // Serial and collect-all lookups also want miss replies.
     bool want_miss_reply = false;
     std::shared_ptr<IntersectionProbe> probe;
 
@@ -321,27 +320,15 @@ public:
 
     // Performs one quorum access of the configured kind from `origin`.
     // `trace` (0 = untraced) tags every message the access generates so
-    // hop-level events land in the op's span. With `want_misses` a lookup
-    // member that lacks the key answers with a miss instead of staying
-    // silent (KvService's undirected reads and version queries). Only
-    // RANDOM and RANDOM-OPT read it.
+    // hop-level events land in the op's span. Non-empty `targets` (a
+    // cached quorum) replace the fresh random pick: exactly those nodes,
+    // cut to the quorum size, with no §6.2 replacements, so a stale
+    // target misses and the caller can evict it. Only RANDOM and
+    // RANDOM-OPT read them.
     virtual void access(AccessKind kind, util::NodeId origin, util::Key key,
-                        Value value, obs::TraceId trace, bool want_misses,
+                        Value value, obs::TraceId trace,
+                        const std::vector<util::NodeId>& targets,
                         AccessCallback done) = 0;
-
-    // Like access(), but aimed at a caller-provided target set (a cached
-    // quorum) instead of a fresh random pick. Strategies without a notion
-    // of explicit targets ignore the hint and fall back to access().
-    // Directed accesses must NOT self-heal around dead targets (no §6.2
-    // replacements): a stale cache entry has to miss so the caller can
-    // detect it and re-resolve.
-    virtual void access_directed(AccessKind kind, util::NodeId origin,
-                                 util::Key key, Value value,
-                                 const std::vector<util::NodeId>& /*targets*/,
-                                 obs::TraceId trace, AccessCallback done) {
-        access(kind, origin, key, value, trace, /*want_misses=*/false,
-               std::move(done));
-    }
 
     // Reverse-path reply addressed to one of this strategy's ops.
     virtual void on_reverse_reply(util::NodeId /*origin*/,

@@ -122,30 +122,19 @@ void BiquorumSystem::advertise(util::NodeId origin, util::Key key,
     obs::record(trace, obs::EventKind::kSpanBegin, origin,
                 static_cast<std::uint64_t>(AccessKind::kAdvertise), key);
     access_with_retry(AccessKind::kAdvertise, origin, key, value, trace,
-                      /*want_misses=*/false, ctx_.world.simulator().now(),
-                      std::move(done), 1);
-}
-
-void BiquorumSystem::lookup(util::NodeId origin, util::Key key,
-                            AccessCallback done, bool want_misses) {
-    ctx_.load.count_access();
-    const obs::TraceId trace = obs::maybe_new_trace();
-    obs::record(trace, obs::EventKind::kSpanBegin, origin,
-                static_cast<std::uint64_t>(AccessKind::kLookup), key);
-    access_with_retry(AccessKind::kLookup, origin, key, 0, trace, want_misses,
                       ctx_.world.simulator().now(), std::move(done), 1);
 }
 
-void BiquorumSystem::lookup_directed(util::NodeId origin, util::Key key,
-                                     const std::vector<util::NodeId>& targets,
-                                     AccessCallback done) {
+void BiquorumSystem::lookup(util::NodeId origin, util::Key key,
+                            AccessCallback done,
+                            const std::vector<util::NodeId>& targets) {
     ctx_.load.count_access();
     const obs::TraceId trace = obs::maybe_new_trace();
     obs::record(trace, obs::EventKind::kSpanBegin, origin,
                 static_cast<std::uint64_t>(AccessKind::kLookup), key);
     access_with_retry(AccessKind::kLookup, origin, key, 0, trace,
-                      /*want_misses=*/false, ctx_.world.simulator().now(),
-                      std::move(done), 1, &targets);
+                      ctx_.world.simulator().now(), std::move(done), 1,
+                      targets);
 }
 
 namespace {
@@ -167,7 +156,6 @@ struct RetryState {
     util::Key key;
     Value value;
     obs::TraceId trace;
-    bool want_misses;
     sim::Time first_issue;
     AccessCallback done;
     int attempt;
@@ -177,14 +165,13 @@ struct RetryState {
 
 void BiquorumSystem::access_with_retry(
     AccessKind kind, util::NodeId origin, util::Key key, Value value,
-    obs::TraceId trace, bool want_misses, sim::Time first_issue,
-    AccessCallback done, int attempt,
-    const std::vector<util::NodeId>* directed) {
+    obs::TraceId trace, sim::Time first_issue, AccessCallback done,
+    int attempt, const std::vector<util::NodeId>& targets) {
     AccessStrategy& strategy =
         kind == AccessKind::kAdvertise ? *advertise_ : *lookup_;
     auto on_attempt =
-        [this, kind, origin, key, value, trace, want_misses, first_issue,
-         attempt, done = std::move(done)](const AccessResult& raw) mutable {
+        [this, kind, origin, key, value, trace, first_issue, attempt,
+         done = std::move(done)](const AccessResult& raw) mutable {
             AccessResult r = raw;
             if (kind == AccessKind::kLookup && spec_.byzantine_b > 0) {
                 // Vote before the retry decision: an inconclusive attempt
@@ -199,7 +186,7 @@ void BiquorumSystem::access_with_retry(
                             static_cast<std::uint64_t>(attempt),
                             static_cast<std::uint64_t>(delay));
                 auto state = std::make_shared<RetryState>(
-                    RetryState{kind, origin, key, value, trace, want_misses,
+                    RetryState{kind, origin, key, value, trace,
                                first_issue, std::move(done), attempt});
                 const std::uint64_t token = next_retry_token_++;
                 retry_timers_[token] = ctx_.world.simulator().schedule_in(
@@ -207,9 +194,8 @@ void BiquorumSystem::access_with_retry(
                         retry_timers_.erase(token);
                         access_with_retry(
                             state->kind, state->origin, state->key,
-                            state->value, state->trace, state->want_misses,
-                            state->first_issue, std::move(state->done),
-                            state->attempt + 1);
+                            state->value, state->trace, state->first_issue,
+                            std::move(state->done), state->attempt + 1);
                     });
                 return;
             }
@@ -234,13 +220,8 @@ void BiquorumSystem::access_with_retry(
                 done(final_result);
             }
         };
-    if (directed != nullptr) {
-        strategy.access_directed(kind, origin, key, value, *directed, trace,
-                                 std::move(on_attempt));
-    } else {
-        strategy.access(kind, origin, key, value, trace, want_misses,
-                        std::move(on_attempt));
-    }
+    strategy.access(kind, origin, key, value, trace, targets,
+                    std::move(on_attempt));
 }
 
 }  // namespace pqs::core

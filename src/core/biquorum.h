@@ -54,21 +54,12 @@ public:
     // and the final AccessResult reports the attempt count.
     void advertise(util::NodeId origin, util::Key key, Value value,
                    AccessCallback done);
-    // One lookup-quorum access (same retry behavior). With `want_misses`
-    // a member that lacks the key answers with a miss instead of staying
-    // silent, so the lookup can end at its last member's answer rather
-    // than at the reply grace (RANDOM lookups). KvService asks for misses
-    // on every undirected lookup: a read, and a write's version query.
+    // One lookup-quorum access (same retry behavior). Non-empty `targets`
+    // (svc/'s per-key quorum cache) aim the first attempt at exactly
+    // those nodes, as AccessStrategy::access describes; retries ask fresh
+    // random quorums.
     void lookup(util::NodeId origin, util::Key key, AccessCallback done,
-                bool want_misses = false);
-
-    // Lookup aimed at a cached target set (svc/ per-key quorum cache):
-    // the first attempt contacts `targets` directly (no §6.2 replacement
-    // healing, so stale members genuinely miss); any retries fall back to
-    // fresh random quorums.
-    void lookup_directed(util::NodeId origin, util::Key key,
-                         const std::vector<util::NodeId>& targets,
-                         AccessCallback done);
+                const std::vector<util::NodeId>& targets = {});
 
     LocalStore& store(util::NodeId id) { return ctx_.store(id); }
 
@@ -80,15 +71,12 @@ private:
     // One access plus its (possible) retries. `attempt` is 1-based.
     // `first_issue` is when attempt 1 was issued: the final result's
     // latency spans from there, so retries and backoff delays count.
-    // `want_misses` (see lookup()) holds for every attempt. `directed`
-    // (may be null) aims the first attempt at a caller-given target set;
-    // retries always revert to fresh random quorums.
+    // `targets` (see lookup()) aim this attempt only; retries pass none.
     void access_with_retry(AccessKind kind, util::NodeId origin,
                            util::Key key, Value value, obs::TraceId trace,
-                           bool want_misses, sim::Time first_issue,
-                           AccessCallback done, int attempt,
-                           const std::vector<util::NodeId>* directed =
-                               nullptr);
+                           sim::Time first_issue, AccessCallback done,
+                           int attempt,
+                           const std::vector<util::NodeId>& targets = {});
 
     // b-masking post-processing of one lookup attempt (byzantine_b > 0):
     // keeps the result only if some value got > b concurring replies,

@@ -170,7 +170,8 @@ void FloodingStrategy::send_reply_chain(util::NodeId id, const FloodMsg& msg,
 
 void FloodingStrategy::access(AccessKind kind, util::NodeId origin,
                               util::Key key, Value value,
-                              obs::TraceId trace, bool /*want_misses*/,
+                              obs::TraceId trace,
+                              const std::vector<util::NodeId>& /*targets*/,
                               AccessCallback done) {
     const util::AccessId op = next_op(origin);
     auto tracker = std::make_shared<FloodTracker>();

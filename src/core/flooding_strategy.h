@@ -21,7 +21,8 @@ public:
     std::string name() const override { return "FLOODING"; }
     void attach_node(util::NodeId id) override;
     void access(AccessKind kind, util::NodeId origin, util::Key key,
-                Value value, obs::TraceId trace, bool want_misses,
+                Value value, obs::TraceId trace,
+                const std::vector<util::NodeId>& targets,
                 AccessCallback done) override;
 
     struct FloodMsg;

@@ -80,7 +80,8 @@ void PathStrategy::attach_node(util::NodeId id) {
 
 void PathStrategy::access(AccessKind kind, util::NodeId origin,
                           util::Key key, Value value, obs::TraceId trace,
-                          bool /*want_misses*/, AccessCallback done) {
+                          const std::vector<util::NodeId>& /*targets*/,
+                          AccessCallback done) {
     const util::AccessId op = next_op(origin);
     auto tracker = std::make_shared<WalkTracker>();
     auto reply_tracker = std::make_shared<ReplyTracker>();

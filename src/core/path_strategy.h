@@ -47,7 +47,8 @@ public:
     }
     void attach_node(util::NodeId id) override;
     void access(AccessKind kind, util::NodeId origin, util::Key key,
-                Value value, obs::TraceId trace, bool want_misses,
+                Value value, obs::TraceId trace,
+                const std::vector<util::NodeId>& targets,
                 AccessCallback done) override;
     void on_reverse_reply(util::NodeId origin,
                           const ReverseReplyMsg& msg) override;

@@ -22,6 +22,13 @@ RandomStrategy::RandomStrategy(ServiceContext& ctx, StrategyConfig config,
         throw std::invalid_argument(strategy_name(config.kind) +
                                     " needs a membership service");
     }
+    // A serial lookup stops asking at its first hit, so it could never
+    // collect every member's value (byzantine_b > 0 forces collection).
+    if (config.serial && config.collect_all_replies) {
+        throw std::invalid_argument(
+            strategy_name(config.kind) +
+            ": serial lookups cannot collect all replies");
+    }
     // Unused fork: dropping it would shift every later world-RNG fork.
     ctx.world.rng().fork();
 }
@@ -102,7 +109,7 @@ std::optional<Value> RandomStrategy::serve(util::NodeId id,
 void RandomStrategy::on_request(util::NodeId id,
                                 const QuorumRequestMsg& req) {
     const std::optional<Value> found = serve(id, req);
-    if (req.kind == AccessKind::kAdvertise || !req.want_reply) {
+    if (req.kind == AccessKind::kAdvertise) {
         return;
     }
     if (found) {
@@ -112,7 +119,7 @@ void RandomStrategy::on_request(util::NodeId id,
     // A miss. A Byzantine quorum member answers every query (the masking
     // threat model), so its tamper goes first, whether or not the lookup
     // asked for misses. An honest node answers a miss only when asked to
-    // (serial lookups, undirected KV lookups) and otherwise stays silent.
+    // (serial and collect-all lookups) and otherwise stays silent.
     // One pointer load when no tamper is installed — bit-identical to the
     // pre-hook build.
     net::ReplyTamper* tamper = ctx_.world.tamper();
@@ -155,82 +162,55 @@ void RandomStrategy::send_reply(util::NodeId from,
 
 void RandomStrategy::access(AccessKind kind, util::NodeId origin,
                             util::Key key, Value value, obs::TraceId trace,
-                            bool want_misses, AccessCallback done) {
-    // RANDOM-OPT runs without replacements, as Fig. 9 is measured.
-    const int replacements =
-        config_.kind == StrategyKind::kRandomOpt ? 0 : kReplacementTargets;
-    start_op(kind, origin, key, value, trace, want_misses, std::move(done),
-             replacements,
-             ctx_.membership->sample(origin, config_.quorum_size));
-}
-
-void RandomStrategy::access_directed(AccessKind kind, util::NodeId origin,
-                                     util::Key key, Value value,
-                                     const std::vector<util::NodeId>& targets,
-                                     obs::TraceId trace, AccessCallback done) {
+                            const std::vector<util::NodeId>& targets,
+                            AccessCallback done) {
+    std::vector<util::NodeId> quorum;
+    int replacements = 0;
     if (targets.empty()) {
-        // An empty hint means the caller has nothing cached.
-        access(kind, origin, key, value, trace, /*want_misses=*/false,
-               std::move(done));
-        return;
+        quorum = ctx_.membership->sample(origin, config_.quorum_size);
+        // RANDOM-OPT runs without replacements, as Fig. 9 is measured.
+        replacements = config_.kind == StrategyKind::kRandomOpt
+                           ? 0
+                           : kReplacementTargets;
+    } else {
+        // Exactly the given targets, no random top-up and no §6.2
+        // replacements: a directed access aims at nodes known to hold the
+        // key (prior responders). Padding or healing would re-pay the
+        // random-quorum cost the cache exists to avoid, and hide a dead
+        // cached target the caller must see miss to evict it.
+        quorum.assign(targets.begin(),
+                      targets.begin() +
+                          std::min(targets.size(), config_.quorum_size));
     }
-    // Exactly the given targets, no random top-up: a directed access aims
-    // at nodes *known* to hold the key (prior responders), so padding to
-    // |Qℓ| would re-pay the random-quorum message cost the cache exists
-    // to avoid — and would silently heal a dead cached set, hiding the
-    // staleness the caller is responsible for evicting on.
-    std::vector<util::NodeId> quorum = targets;
-    if (quorum.size() > config_.quorum_size) {
-        quorum.resize(config_.quorum_size);
-    }
-    // No §6.2 replacements: a dead cached target must produce a visible
-    // miss, not a silently healed quorum (the caller owns invalidation).
-    start_op(kind, origin, key, value, trace, /*want_misses=*/false,
-             std::move(done), /*replacements=*/0, std::move(quorum));
-}
-
-void RandomStrategy::start_op(AccessKind kind, util::NodeId origin,
-                              util::Key key, Value value, obs::TraceId trace,
-                              bool want_misses, AccessCallback done,
-                              int replacements,
-                              std::vector<util::NodeId> targets) {
     const util::AccessId op = next_op(origin);
     auto probe = std::make_shared<IntersectionProbe>();
     auto entry = ops_.open(op, std::move(done), ctx_.op_timeout,
                            [probe](AccessResult& r) {
                                r.intersected = probe->intersected;
                            });
-    entry->state.kind = kind;
-    entry->state.key = key;
-    entry->state.value = value;
-    entry->state.probe = std::move(probe);
-    entry->state.serial = config_.serial && kind == AccessKind::kLookup;
-    entry->state.want_misses = want_misses;
-    entry->state.replacements_left = replacements;
-    entry->state.trace = trace;
-    entry->state.targets = std::move(targets);
-    launch_targets(op, origin);
-}
-
-void RandomStrategy::launch_targets(util::AccessId op, util::NodeId origin) {
-    auto entry = ops_.find(op);
-    if (!entry) {
-        return;
-    }
-    entry->state.target_quorum = entry->state.targets.size();
-    if (entry->state.targets.empty()) {
+    OpState& state = entry->state;
+    state.kind = kind;
+    state.key = key;
+    state.value = value;
+    state.probe = std::move(probe);
+    state.serial = config_.serial && kind == AccessKind::kLookup;
+    state.replacements_left = replacements;
+    state.trace = trace;
+    state.targets = std::move(quorum);
+    state.target_quorum = state.targets.size();
+    if (state.targets.empty()) {
         finish(op, false, 0);
         return;
     }
-    if (entry->state.serial) {
+    if (state.serial) {
         send_to_target(op, origin, util::kInvalidNode);  // advances cursor
         return;
     }
     // Parallel access to the whole quorum. Iterate a copy: a send can
     // deliver locally and resolve the op synchronously, erasing the ops_
     // entry (and the vector inside it) mid-loop.
-    const std::vector<util::NodeId> targets = entry->state.targets;
-    for (const util::NodeId target : targets) {
+    const std::vector<util::NodeId> sends = state.targets;
+    for (const util::NodeId target : sends) {
         send_to_target(op, origin, target);
     }
     if (auto e = ops_.find(op)) {
@@ -263,8 +243,7 @@ void RandomStrategy::send_to_target(util::AccessId op, util::NodeId origin,
     msg->key = state.key;
     msg->value = state.value;
     msg->origin = origin;
-    msg->want_reply = state.kind == AccessKind::kLookup;
-    msg->want_miss_reply = state.serial || state.want_misses;
+    msg->want_miss_reply = state.serial || config_.collect_all_replies;
     msg->probe = state.probe;
     ++state.outstanding;
     ctx_.world.stack(origin).send_routed(

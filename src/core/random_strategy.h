@@ -13,22 +13,19 @@
 // for the same effective quorum size as RANDOM's sqrt(n) (§8.2). Its
 // requests get no §6.2 replacements: Fig. 9 is measured without them.
 //
-// When a lookup ends. A first-hit lookup ends at its first hit reply, a
-// serial one at a hit or when its targets run out. A member that lacks
-// the key stays silent, unless the lookup is serial or asks for misses
-// (every undirected KV lookup: a read, or a write's version query), whose
-// members all answer, with a miss if need be. A parallel lookup ends once
-// every request has resolved (delivered or failed) and a distinct member
-// has answered each delivered one: no further answer can come. If every
-// answer was a miss, it ends as a miss. Directed reads of cached holders
-// and lookups that ask for misses end this way. Otherwise, and always
-// when no answer has arrived, a parallel lookup ends kReplyGrace (3 s)
-// after its last request resolved, with the replies that came in
-// meanwhile; an answer inside the window retests the rule. So a lookup
-// that does not ask for misses ends at the grace whenever a member lacks
-// the key and no hit ends it first, and one that does still ends there
-// when a member's answer is lost, or when a member is asked twice (a
-// §6.2 replacement that re-picks an asked node) but answers once.
+// When a lookup ends. A member that lacks the key answers with a miss
+// exactly when the lookup is serial or collect-all, and otherwise stays
+// silent; a Byzantine member's tamper goes first on every miss.
+//  - First-hit (parallel, not collect-all): at its first hit reply, else
+//    kReplyGrace (3 s) after its last request resolved.
+//  - Serial: at a hit, or once its targets run out.
+//  - Collect-all: once every request has resolved and a distinct member
+//    has answered each delivered one, with the values in hand (a miss if
+//    every answer was one). Otherwise, and always when no answer came,
+//    kReplyGrace after its last request resolved; each answer inside the
+//    window retests the rule. So it still ends at the grace when an
+//    answer is lost or withheld, or when a member is asked twice (a §6.2
+//    replacement re-picked it) but answers once.
 #pragma once
 
 #include <algorithm>
@@ -53,15 +50,9 @@ public:
     std::string name() const override { return strategy_name(config_.kind); }
     void attach_node(util::NodeId id) override;
     void access(AccessKind kind, util::NodeId origin, util::Key key,
-                Value value, obs::TraceId trace, bool want_misses,
+                Value value, obs::TraceId trace,
+                const std::vector<util::NodeId>& targets,
                 AccessCallback done) override;
-    // Directed access: contacts the given targets (truncated to the
-    // configured quorum size) with §6.2 replacements disabled, so a dead
-    // cached target genuinely misses instead of being silently healed.
-    void access_directed(AccessKind kind, util::NodeId origin, util::Key key,
-                         Value value,
-                         const std::vector<util::NodeId>& targets,
-                         obs::TraceId trace, AccessCallback done) override;
 
 private:
     struct OpState {
@@ -75,7 +66,6 @@ private:
         std::size_t outstanding = 0;   // in-flight routed sends
         std::size_t delivered = 0;
         bool serial = false;
-        bool want_misses = false;      // members answer misses too
         std::shared_ptr<IntersectionProbe> probe;
         std::vector<Value> collected;  // collect_all_replies mode
         // Parallel to `collected`: which quorum member sent each value,
@@ -108,13 +98,6 @@ private:
     bool on_relay(util::NodeId id, const QuorumRequestMsg& req);
     void send_reply(util::NodeId from, const QuorumRequestMsg& req,
                     bool found, Value value);
-    // Opens an op aimed at `targets` and launches it.
-    void start_op(AccessKind kind, util::NodeId origin, util::Key key,
-                  Value value, obs::TraceId trace, bool want_misses,
-                  AccessCallback done, int replacements,
-                  std::vector<util::NodeId> targets);
-    // Issues the op's already-chosen target list (serial or parallel).
-    void launch_targets(util::AccessId op, util::NodeId origin);
     void send_to_target(util::AccessId op, util::NodeId origin,
                         util::NodeId target);
     void on_target_resolved(util::AccessId op, util::NodeId origin,

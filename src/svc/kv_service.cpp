@@ -77,26 +77,15 @@ void KvService::read(util::NodeId origin, util::Key key, ReadCallback done,
                                       if (done) done(out);
                                   });
     };
-    // An undirected read asks for misses, as a write's version query does:
-    // every member answers, so the read ends at its last member's answer
-    // with the values and responders the reply grace would have collected.
-    if (directed) {
-        loc_.biquorum().lookup_directed(origin, key, targets,
-                                        std::move(handler));
-    } else {
-        loc_.biquorum().lookup(origin, key, std::move(handler),
-                               /*want_misses=*/true);
-    }
+    loc_.biquorum().lookup(origin, key, std::move(handler), targets);
 }
 
 void KvService::write(util::NodeId origin, util::Key key, std::uint32_t data,
                       WriteCallback done) {
-    // Phase 1: a version query of a full (undirected) lookup quorum. Every
-    // member answers, one that lacks the key with a miss, so the query
-    // ends at its last answer instead of waiting out the reply grace for
-    // members that would stay silent. Writes never use the cache — a
-    // missed base version is how a wrapped counter clobbers data, so the
-    // write path always pays for a fresh quorum.
+    // Phase 1: a version query of a full (undirected) lookup quorum.
+    // Writes never use the cache — a missed base version is how a wrapped
+    // counter clobbers data, so the write path always pays for a fresh
+    // quorum.
     auto on_version =
         [this, origin, key, data,
          done = std::move(done)](const core::AccessResult& r) {
@@ -137,8 +126,7 @@ void KvService::write(util::NodeId origin, util::Key key, std::uint32_t data,
                     if (done) done(result);
                 });
         };
-    loc_.biquorum().lookup(origin, key, std::move(on_version),
-                           /*want_misses=*/true);
+    loc_.biquorum().lookup(origin, key, std::move(on_version));
 }
 
 void KvService::on_node_refreshed(util::NodeId node) {

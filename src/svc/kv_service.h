@@ -5,17 +5,13 @@
 // yields *probabilistic linearizability* — every operation behaves
 // atomically with probability >= the quorum intersection guarantee.
 //
-//  write(v):  phase 1 — a version query of a lookup quorum, which every
-//             member answers (one that lacks the key with a miss), so it
-//             ends at its last member's answer, not at the reply grace;
-//             phase 2 — store (version+1, v) at an advertise quorum. The
-//             write is refused, not issued, when phase 1 finds no
-//             trustworthy version base (b-masking) or a saturated
-//             version counter (register.h kMaxVersion).
+//  write(v):  phase 1 — a version query of a lookup quorum; phase 2 —
+//             store (version+1, v) at an advertise quorum. The write is
+//             refused, not issued, when phase 1 finds no trustworthy
+//             version base (b-masking) or a saturated version counter
+//             (register.h kMaxVersion).
 //  read():    phase 1 — query a lookup quorum and take the highest
-//             version; every member answers (one that lacks the key with
-//             a miss), so an uncached read too ends at its last member's
-//             answer; phase 2 (optional write-back) — re-advertise that
+//             version; phase 2 (optional write-back) — re-advertise that
 //             value so later reads cannot see an older one.
 //
 // Reads also keep a per-key lookup-quorum cache: a successful collected
@@ -28,8 +24,10 @@
 //
 // Requirements on the biquorum spec (checked at construction):
 //  - the lookup side collects all replies (collect_all_replies), so reads
-//    see the highest version present in the quorum and responders are
-//    recorded;
+//    see the highest version present in the quorum, responders are
+//    recorded, and every member answers (one that lacks the key with a
+//    miss): each lookup ends at its last member's answer, not at the
+//    reply grace (core/random_strategy.h);
 //  - the advertise side stores monotonically (monotonic_store), so an old
 //    write can never clobber a newer one at a shared quorum member.
 #pragma once

@@ -143,6 +143,8 @@ CASES = [
     ("byzantine", "e2e.sweep.1.hit_ratio", 0.5,
      ["e2e.sweep[1]:", "failed to preserve most lookups"]),
     ("byzantine", "e2e.sweep.1.aborted", 1, ["e2e.sweep[1].aborted must be"]),
+    ("byzantine", "e2e.sweep.1.lookup_p50_s", 3.15,
+     ["e2e.sweep[1].lookup_p50_s must be", "[0, 1)"]),
 
     ("frontier", "mode", "quick", ["mode must be 'smoke' or 'full'"]),
     ("frontier", "analytic", [], ["analytic must be an object"]),

@@ -1,8 +1,8 @@
 // b-masking sizing and voting (Malkhi-Reiter-Wool generalization of
 // Corollary 5.3): property grids for the closed-form failure bound,
 // bit-exact b = 0 reduction to the plain ε-intersection formulas,
-// Monte-Carlo validation of the bound at the derived sizes, and unit
-// properties of the value-voting rule.
+// Monte-Carlo validation of the bound at the derived sizes, unit
+// properties of the value-voting rule, and one voting lookup end to end.
 #include "core/biquorum.h"
 #include "core/theory.h"
 
@@ -12,6 +12,8 @@
 #include <cmath>
 #include <vector>
 
+#include "core/location_service.h"
+#include "membership/oracle_membership.h"
 #include "stat_test_util.h"
 #include "util/rng.h"
 
@@ -270,6 +272,53 @@ TEST(MaskingSpec, ZeroBudgetMatchesLegacyResolution) {
     EXPECT_EQ(masked.advertise.quorum_size, plain.advertise.quorum_size);
     EXPECT_EQ(masked.lookup.quorum_size, plain.lookup.quorum_size);
     EXPECT_FALSE(masked.lookup.collect_all_replies);
+}
+
+// ---------- A voting lookup end to end ----------
+
+// A b > 0 lookup collects every member's answer, one that lacks the key
+// with a miss. With no member withholding its answer, it ends at the last
+// one, with no reply-grace expiry, and returns the voted value. Half the
+// network holds the key and the lookup asks every node, so the vote is
+// decided by the stores, not by the draw of the quorums.
+TEST(MaskingLookup, EndsAtItsLastAnswerWithTheVotedValue) {
+    constexpr std::size_t kN = 40;
+    net::WorldParams wp;
+    wp.n = kN;
+    wp.seed = 5;
+    wp.oracle_neighbors = true;
+    net::World world(wp);
+    membership::OracleMembership membership(
+        world, membership::OracleMembershipParams{kN});
+    BiquorumSpec spec;
+    spec.byzantine_b = 2;
+    spec.advertise.kind = StrategyKind::kRandom;
+    spec.lookup.kind = StrategyKind::kRandom;
+    spec.advertise.quorum_size = kN;
+    spec.lookup.quorum_size = kN;
+    LocationService service(world, spec, &membership);
+    world.start();
+    for (util::NodeId id = 0; id < kN; id += 2) {
+        service.store(id).store_owner(42, 4242);
+    }
+
+    AccessResult look;
+    bool done = false;
+    service.lookup(3, 42, [&](const AccessResult& r) {
+        look = r;
+        done = true;
+    });
+    const sim::Time deadline = world.simulator().now() + 60 * sim::kSecond;
+    while (!done && world.simulator().now() < deadline &&
+           world.simulator().step()) {
+    }
+    ASSERT_TRUE(done);
+    ASSERT_TRUE(look.ok);
+    EXPECT_EQ(look.value, 4242u);
+    EXPECT_EQ(look.winner_votes, kN / 2);
+    EXPECT_EQ(look.attempts, 1);
+    EXPECT_LT(look.latency, sim::kSecond);
+    EXPECT_EQ(world.kernel_stats().reply_grace_expiries, 0u);
 }
 
 }  // namespace

@@ -168,12 +168,38 @@ TEST(RandomSerial, FaultyMemberForgesOnAMiss) {
     EXPECT_EQ(look.nodes_contacted, 1u);
 }
 
+// A serial lookup stops asking at its first hit, so it can never collect
+// every member's value: RANDOM refuses serial with collect_all_replies,
+// also when b-masking forces collection.
+TEST(RandomSerial, CollectingAllRepliesIsRefused) {
+    const auto refused = [](std::function<void(BiquorumSpec&)> tweak) {
+        try {
+            build(StrategyKind::kRandom, StrategyKind::kRandom, 60, 2,
+                  std::move(tweak));
+        } catch (const std::invalid_argument& e) {
+            return std::string(e.what()).find("serial") != std::string::npos;
+        }
+        return false;
+    };
+    EXPECT_TRUE(refused([](BiquorumSpec& spec) {
+        spec.lookup.serial = true;
+        spec.lookup.collect_all_replies = true;
+    }));
+    EXPECT_TRUE(refused([](BiquorumSpec& spec) {
+        spec.lookup.serial = true;
+        spec.byzantine_b = 1;
+    }));
+    EXPECT_FALSE(
+        refused([](BiquorumSpec& spec) { spec.lookup.serial = true; }));
+}
+
 // ---- Collect-all lookups and version queries on a line ----
 
 // A line 0 - 1 - ... - 7, 150 m apart with a 200 m range: node i is i hops
 // from node 0, the origin of every lookup here. Lookups collect every
-// reply. Directed ones ask the targets the test picks; undirected ones ask
-// every node, since each membership view holds all eight.
+// reply, so every member answers, one that lacks the key with a miss.
+// Directed ones ask the targets the test picks; undirected ones ask every
+// node, since each membership view holds all eight.
 struct DirectedLine : ::testing::Test {
     static constexpr std::size_t kN = 8;
     static constexpr util::Key kKey = 5;
@@ -229,18 +255,26 @@ struct DirectedLine : ::testing::Test {
 
     AccessResult lookup(const std::vector<util::NodeId>& targets) {
         return await([&](AccessCallback done) {
-            service->biquorum().lookup_directed(0, kKey, targets,
-                                                std::move(done));
+            service->biquorum().lookup(0, kKey, std::move(done), targets);
         });
     }
 
-    // An undirected lookup, which asks every node; with `want_misses`, a
-    // version query.
-    AccessResult ask_all(bool want_misses) {
+    // An undirected lookup, which asks every node, as a version query does.
+    AccessResult ask_all() {
         return await([&](AccessCallback done) {
-            service->biquorum().lookup(0, kKey, std::move(done),
-                                       want_misses);
+            service->biquorum().lookup(0, kKey, std::move(done));
         });
+    }
+
+    // The nodes whose stores hold the key, in id order.
+    std::vector<util::NodeId> holders() {
+        std::vector<util::NodeId> ids;
+        for (util::NodeId id = 0; id < kN; ++id) {
+            if (service->store(id).find(kKey)) {
+                ids.push_back(id);
+            }
+        }
+        return ids;
     }
 
     static std::vector<util::NodeId> sorted(std::vector<util::NodeId> ids) {
@@ -317,19 +351,24 @@ TEST_F(DirectedLine, EndsAtTheLastHoldersReply) {
     }
     EXPECT_EQ(sink.dropped(), 0u);
 
-    // A lookup that has to wait (target 2 lacks the key) collects the
-    // same replies.
-    const AccessResult waited = lookup({4, 2, 1});
-    ASSERT_TRUE(waited.ok);
-    EXPECT_GE(waited.latency, 3 * sim::kSecond);
-    EXPECT_EQ(sorted(waited.responders), sorted(look.responders));
-    EXPECT_EQ(waited.values, look.values);
+    // A target that lacks the key (node 2) answers with a miss, so the
+    // lookup still ends at its last answer, with the same replies.
+    const AccessResult with_miss = lookup({4, 2, 1});
+    ASSERT_TRUE(with_miss.ok);
+    EXPECT_LT(with_miss.latency, sim::kSecond);
+    EXPECT_EQ(grace_expiries(), graces);
+    EXPECT_EQ(sorted(with_miss.responders), sorted(look.responders));
+    EXPECT_EQ(with_miss.values, look.values);
+    EXPECT_EQ(with_miss.nodes_contacted, 3u);
 }
 
-// A delivered target that lacks the key stays silent, so the lookup
-// cannot tell it from a slow reply and ends at the grace.
+// A delivered target whose answer is withheld (each reply of node 2 is
+// dropped, as a Byzantine drop would drop it) cannot be told from a slow
+// one, so the lookup ends at the grace.
 TEST_F(DirectedLine, SilentDeliveredTargetHoldsTheLookupToTheGrace) {
     hold({1});
+    tamper.muted = 2;
+    world->set_tamper(&tamper);
     const std::uint64_t graces = grace_expiries();
     const AccessResult look = lookup({1, 2});
     ASSERT_TRUE(look.ok);
@@ -393,28 +432,24 @@ TEST_F(DirectedLine, RepeatedRepliesDoNotEndTheLookupEarly) {
 }
 
 // A version query: every member answers, one that lacks the key with a
-// miss, so the query ends at the last answer, with values and responders
-// from the holders only. A read of the same members, where members that
-// lack the key stay silent, collects the same replies but waits out the
-// grace.
+// miss, so the query ends at the last answer, with a value and a
+// responder for each member that holds the key and none for the others.
 TEST_F(DirectedLine, VersionQueryEndsAtTheLastMembersAnswer) {
     hold({1, 4});
     const std::uint64_t graces = grace_expiries();
-    const AccessResult query = ask_all(/*want_misses=*/true);
+    const AccessResult query = ask_all();
     ASSERT_TRUE(query.ok);
     EXPECT_LT(query.latency, sim::kSecond);
     EXPECT_EQ(grace_expiries(), graces);
-    EXPECT_EQ(sorted(query.responders), (std::vector<util::NodeId>{1, 4}));
-    EXPECT_EQ(query.values, (std::vector<Value>(2, kValue)));
+    EXPECT_EQ(sorted(query.responders), holders());
+    ASSERT_EQ(query.values.size(), query.responders.size());
+    for (std::size_t i = 0; i < query.values.size(); ++i) {
+        const std::optional<Value> stored =
+            service->store(query.responders[i]).find(kKey);
+        ASSERT_TRUE(stored);
+        EXPECT_EQ(query.values[i], *stored);
+    }
     EXPECT_EQ(query.nodes_contacted, kN);
-
-    const AccessResult read = ask_all(/*want_misses=*/false);
-    ASSERT_TRUE(read.ok);
-    EXPECT_GE(read.latency, 3 * sim::kSecond);
-    EXPECT_EQ(grace_expiries(), graces + 1);
-    EXPECT_EQ(sorted(read.responders), sorted(query.responders));
-    EXPECT_EQ(read.values, query.values);
-    EXPECT_EQ(read.nodes_contacted, kN);
 }
 
 // No member holds the key: the version query ends at the last miss, as a
@@ -423,7 +458,7 @@ TEST_F(DirectedLine, VersionQueryWithoutHoldersEndsAtTheLastMiss) {
     obs::TraceSink sink(world->simulator(), 1 << 14);
     obs::ScopedTraceSink scope(&sink);
     const std::uint64_t graces = grace_expiries();
-    const AccessResult query = ask_all(/*want_misses=*/true);
+    const AccessResult query = ask_all();
     const sim::Time end = world->simulator().now();
     EXPECT_FALSE(query.ok);
     EXPECT_TRUE(query.values.empty());
@@ -452,7 +487,7 @@ TEST_F(DirectedLine, VersionQueryWithASilentMemberEndsAtTheGrace) {
     tamper.muted = 7;
     world->set_tamper(&tamper);
     const std::uint64_t graces = grace_expiries();
-    const AccessResult query = ask_all(/*want_misses=*/true);
+    const AccessResult query = ask_all();
     ASSERT_TRUE(query.ok);
     EXPECT_GE(query.latency, 3 * sim::kSecond);
     EXPECT_EQ(grace_expiries(), graces + 1);
@@ -468,7 +503,7 @@ TEST_F(DirectedLine, RepeatedMissRepliesCountOnce) {
     hold({7});
     world->link().set_fault_injection(net::LinkFaults{0.0, 1.0});
     const std::uint64_t graces = grace_expiries();
-    const AccessResult query = ask_all(/*want_misses=*/true);
+    const AccessResult query = ask_all();
     ASSERT_TRUE(query.ok);
     EXPECT_EQ(query.responders, (std::vector<util::NodeId>{7}));
     EXPECT_EQ(query.values, (std::vector<Value>{kValue}));
@@ -482,7 +517,7 @@ TEST_F(DirectedLine, RepeatedMissRepliesCountOnce) {
 TEST_F(DirectedLine, RetriedVersionQueryStillEndsAtItsLastAnswer) {
     service->biquorum().context().retry.max_attempts = 2;
     const std::uint64_t graces = grace_expiries();
-    const AccessResult query = ask_all(/*want_misses=*/true);
+    const AccessResult query = ask_all();
     EXPECT_FALSE(query.ok);
     EXPECT_EQ(query.attempts, 2);
     EXPECT_LT(query.latency, 2 * sim::kSecond);
@@ -494,7 +529,7 @@ TEST_F(DirectedLine, RetriedVersionQueryStillEndsAtItsLastAnswer) {
 TEST_F(DirectedLine, VersionQueryCollectsAFaultyMembersForgedValue) {
     tamper.forges = [](util::NodeId id) { return id == 3; };
     world->set_tamper(&tamper);
-    const AccessResult query = ask_all(/*want_misses=*/true);
+    const AccessResult query = ask_all();
     ASSERT_TRUE(query.ok);
     EXPECT_EQ(query.responders, (std::vector<util::NodeId>{3}));
     EXPECT_EQ(query.values, (std::vector<Value>{LookupTamper::kLie}));
