@@ -1,7 +1,8 @@
 // Microbenchmarks of the hot simulation kernels (google-benchmark): RNG
 // draws, the event queue, spatial-grid queries, random-walk stepping,
-// two-ray propagation, and one end-to-end mini-scenario. The SINR PHY and
-// the MAC are measured end to end by bench_kernel's e2e_80211_n80 row.
+// two-ray propagation, the range test with and without hypot, and one
+// end-to-end mini-scenario. The SINR PHY and the MAC are measured end to
+// end by bench_kernel's e2e_80211_n80 row.
 #include <benchmark/benchmark.h>
 
 #include "core/scenario.h"
@@ -70,15 +71,40 @@ void BM_RandomWalkStep(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomWalkStep);
 
+// The channel's per-listener law: received power from d^2.
 void BM_TwoRayPropagation(benchmark::State& state) {
-    const phy::PropagationParams p;
+    const phy::TwoRayLaw law{phy::PropagationParams{}};
     double d = 1.0;
     for (auto _ : state) {
         d = d >= 1200.0 ? 1.0 : d + 1.0;
-        benchmark::DoNotOptimize(phy::two_ray_rx_power_mw(p, d));
+        benchmark::DoNotOptimize(law.rx_power_mw(d * d));
     }
 }
 BENCHMARK(BM_TwoRayPropagation);
+
+// The per-reception range test over random pairs in a 1,000 m square at
+// r = 200 m, two ways: hypot(dx, dy) <= r, the test geom::in_range
+// replaced, and geom::in_range itself, dx^2 + dy^2 <= r^2.
+template <class InRange>
+void BM_RangeTest(benchmark::State& state, InRange in_range) {
+    util::Rng rng(5);
+    std::vector<geom::Vec2> points(1024);
+    for (geom::Vec2& v : points) {
+        v = {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)};
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            in_range(points[i & 1023], points[(i + 1) & 1023]));
+        ++i;
+    }
+}
+BENCHMARK_CAPTURE(BM_RangeTest, hypot, [](geom::Vec2 a, geom::Vec2 b) {
+    return geom::distance(a, b) <= 200.0;
+});
+BENCHMARK_CAPTURE(BM_RangeTest, squared, [](geom::Vec2 a, geom::Vec2 b) {
+    return geom::in_range(a, b, 200.0);
+});
 
 void BM_MiniScenario(benchmark::State& state) {
     for (auto _ : state) {

@@ -29,6 +29,14 @@ struct Vec2 {
 inline double distance(Vec2 a, Vec2 b) { return (a - b).norm(); }
 inline double distance_sq(Vec2 a, Vec2 b) { return (a - b).norm_sq(); }
 
+// The plane's one "is b in range of a" test: |a - b| <= r, decided on the
+// squared distance, so no caller takes a square root. Symmetric, since
+// a - b is exactly -(b - a). Grid queries, World::nodes_within and the
+// abstract link's delivery checks all decide reception with it.
+inline bool in_range(Vec2 a, Vec2 b, double r) {
+    return distance_sq(a, b) <= r * r;
+}
+
 // Shortest-displacement distance on a side×side torus.
 inline double torus_distance(Vec2 a, Vec2 b, double side) {
     double dx = std::fabs(a.x - b.x);
@@ -39,10 +47,5 @@ inline double torus_distance(Vec2 a, Vec2 b, double side) {
 }
 
 enum class Metric { kPlane, kTorus };
-
-inline double metric_distance(Metric metric, Vec2 a, Vec2 b, double side) {
-    return metric == Metric::kTorus ? torus_distance(a, b, side)
-                                    : distance(a, b);
-}
 
 }  // namespace pqs::geom

@@ -81,8 +81,8 @@ void AbstractLink::unicast(PacketPtr p, LinkTxCallback done) {
         // exact RNG stream (golden fingerprints).
         bool reachable =
             world_.awake(from) && world_.awake(to) &&
-            geom::distance(world_.position(from), world_.position(to)) <=
-                world_.range() &&
+            geom::in_range(world_.position(from), world_.position(to),
+                           world_.range()) &&
             !rng_.bernoulli(params_.unicast_loss);
         if (reachable && faults_.drop > 0.0 && rng_.bernoulli(faults_.drop)) {
             reachable = false;
@@ -136,8 +136,7 @@ void AbstractLink::broadcast(PacketPtr p) {
             const geom::Vec2 at = world_.position(from);
             for (const util::NodeId to : receivers) {
                 if (world_.awake(to) &&
-                    geom::distance(at, world_.position(to)) <=
-                        world_.range() &&
+                    geom::in_range(at, world_.position(to), world_.range()) &&
                     !rng_.bernoulli(params_.broadcast_loss)) {
                     if (faults_.drop > 0.0 &&
                         rng_.bernoulli(faults_.drop)) {

@@ -7,6 +7,7 @@
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/logging.h"
+#include "util/search.h"
 
 namespace pqs::net {
 
@@ -21,9 +22,10 @@ bool seq_newer(util::SeqNum a, util::SeqNum b) { return a > b; }
 // First route whose dst is not below `dst` (const or mutable table).
 template <class Routes>
 auto lower_bound_dst(Routes& routes, util::NodeId dst) {
-    return std::partition_point(
-        routes.begin(), routes.end(),
-        [dst](const auto& route) { return route.dst < dst; });
+    return routes.begin() +
+           static_cast<std::ptrdiff_t>(util::branchless_lower_bound(
+               routes.data(), routes.size(), dst,
+               [](const auto& route) { return route.dst; }));
 }
 
 template <class Routes>

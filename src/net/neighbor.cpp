@@ -17,7 +17,8 @@ void HelloSlab::spill(util::NodeId row, util::NodeId from, sim::Time now) {
     Spill& s = spill_[block];
     s.ids.assign(header + 1, header + 1 + capacity_);
     s.heard.assign(heard, heard + capacity_);
-    const std::uint32_t at = lower_bound(s.ids.data(), capacity_, from);
+    const std::uint32_t at =
+        util::branchless_lower_bound(s.ids.data(), capacity_, from);
     s.ids.insert(s.ids.begin() + at, from);
     s.heard.insert(s.heard.begin() + at, now);
     *header = kSpilled | block;
@@ -30,7 +31,7 @@ void HelloSlab::spilled_hello(util::NodeId row, util::NodeId from,
     const std::uint32_t block = *header & ~kSpilled;
     Spill& s = spill_[block];
     auto count = static_cast<std::uint32_t>(s.ids.size());
-    std::uint32_t at = lower_bound(s.ids.data(), count, from);
+    std::uint32_t at = util::branchless_lower_bound(s.ids.data(), count, from);
     if (at < count && s.ids[at] == from) {
         s.heard[at] = now;
         ++spills_;
@@ -46,12 +47,12 @@ void HelloSlab::spilled_hello(util::NodeId row, util::NodeId from,
         std::copy(s.ids.begin(), s.ids.end(), ids);
         std::copy(s.heard.begin(), s.heard.end(), heard);
         free_spill_.push_back(block);
-        at = lower_bound(ids, count, from);
+        at = util::branchless_lower_bound(ids, count, from);
         insert(ids, heard, count, at, from, now);
         *header = count + 1;
         return;
     }
-    at = lower_bound(s.ids.data(), count, from);
+    at = util::branchless_lower_bound(s.ids.data(), count, from);
     s.ids.insert(s.ids.begin() + at, from);
     s.heard.insert(s.heard.begin() + at, now);
     ++spills_;

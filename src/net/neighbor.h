@@ -24,6 +24,7 @@
 
 #include "sim/time.h"
 #include "util/ids.h"
+#include "util/search.h"
 
 namespace pqs::net {
 
@@ -61,7 +62,7 @@ public:
         util::NodeId* const ids = header + 1;
         sim::Time* const heard = &heard_[heard_at(row)];
         std::uint32_t count = *header;
-        std::uint32_t at = lower_bound(ids, count, from);
+        std::uint32_t at = util::branchless_lower_bound(ids, count, from);
         if (at < count && ids[at] == from) {
             heard[at] = now;
             return;
@@ -75,7 +76,7 @@ public:
                 spill(row, from, now);
                 return;
             }
-            at = lower_bound(ids, count, from);
+            at = util::branchless_lower_bound(ids, count, from);
         }
         insert(ids, heard, count, at, from, now);
         *header = count + 1;
@@ -83,7 +84,8 @@ public:
 
     bool is_neighbor(util::NodeId row, util::NodeId id, sim::Time now) const {
         const Entries e = entries(row);
-        const std::uint32_t at = lower_bound(e.ids, e.count, id);
+        const std::uint32_t at =
+            util::branchless_lower_bound(e.ids, e.count, id);
         return at < e.count && e.ids[at] == id &&
                now - e.heard[at] <= expiry_;
     }
@@ -116,22 +118,6 @@ private:
         const sim::Time* heard;
         std::uint32_t count;
     };
-
-    // Index of the first id not below `id`: a binary search whose steps
-    // are conditional moves, not branches the hello stream mispredicts.
-    static std::uint32_t lower_bound(const util::NodeId* ids,
-                                     std::uint32_t count, util::NodeId id) {
-        if (count == 0) {
-            return 0;
-        }
-        const util::NodeId* base = ids;
-        while (count > 1) {
-            const std::uint32_t half = count / 2;
-            base = base[half] < id ? base + half : base;
-            count -= half;
-        }
-        return static_cast<std::uint32_t>(base - ids) + (*base < id ? 1 : 0);
-    }
 
     // Shifts [at, count) up one slot in both arrays and writes the entry.
     static void insert(util::NodeId* ids, sim::Time* heard,

@@ -217,6 +217,7 @@ bool World::wake_node(util::NodeId id) {
     return true;
 }
 
+// pqs-hot: every range test reads both ends' positions through here.
 geom::Vec2 World::position(util::NodeId id) const {
     if (lazy_mobility_) {
         const MotionState& m = motion_.at(id);
@@ -315,6 +316,7 @@ void World::schedule_crossing(util::NodeId id) {
     });
 }
 
+// pqs-hot: the receiver set of every broadcast and overheard unicast.
 void World::nodes_within(geom::Vec2 center, double radius,
                          std::vector<util::NodeId>& out,
                          util::NodeId exclude) const {
@@ -327,10 +329,8 @@ void World::nodes_within(geom::Vec2 center, double radius,
     // against the closed-form positions.
     query_scratch_.clear();
     grid_->query_cells(center, radius, query_scratch_, exclude);
-    const double r2 = radius * radius;
     for (const util::NodeId id : query_scratch_) {
-        const geom::Vec2 d = position(id) - center;
-        if (d.x * d.x + d.y * d.y <= r2) {
+        if (geom::in_range(center, position(id), radius)) {
             out.push_back(id);
         }
     }

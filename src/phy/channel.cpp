@@ -8,7 +8,7 @@ Channel::Channel(sim::Simulator& simulator, const PositionProvider& positions,
                  PropagationParams propagation, RadioThresholds thresholds)
     : simulator_(simulator),
       positions_(positions),
-      propagation_(propagation),
+      law_(propagation),
       thresholds_(thresholds),
       cutoff_m_(two_ray_range_for_threshold(propagation,
                                             thresholds.noise_floor_mw)) {}
@@ -57,11 +57,12 @@ void Channel::transmit(util::NodeId src, Frame frame, sim::Time duration) {
         if (radio == nullptr || !positions_.awake(id)) {
             continue;
         }
-        const double d = geom::distance(origin, positions_.position(id));
-        if (d <= 0.0) {
+        const double d_sq =
+            geom::distance_sq(origin, positions_.position(id));
+        if (d_sq <= 0.0) {
             continue;  // co-located; treat as unreceivable
         }
-        const double power = two_ray_rx_power_mw(propagation_, d);
+        const double power = law_.rx_power_mw(d_sq);
         if (power < thresholds_.noise_floor_mw) {
             continue;
         }

@@ -69,7 +69,7 @@ private:
 
     sim::Simulator& simulator_;
     const PositionProvider& positions_;
-    PropagationParams propagation_;
+    TwoRayLaw law_;
     RadioThresholds thresholds_;
     double cutoff_m_;
     std::vector<Radio*> radios_;  // by node id; nullptr when detached

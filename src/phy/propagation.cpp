@@ -1,6 +1,5 @@
 #include "phy/propagation.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -16,14 +15,22 @@ double PropagationParams::crossover_distance_m() const {
            wavelength_m;
 }
 
+TwoRayLaw::TwoRayLaw(const PropagationParams& p) {
+    const double gain = p.tx_power_mw * p.antenna_gain * p.antenna_gain /
+                        p.system_loss;
+    const double lambda_4pi = p.wavelength_m / (4.0 * std::numbers::pi);
+    const double h2 = p.antenna_height_m * p.antenna_height_m;
+    const double crossover = p.crossover_distance_m();
+    friis_k_ = gain * lambda_4pi * lambda_4pi;
+    two_ray_k_ = gain * h2 * h2;
+    crossover_sq_ = crossover * crossover;
+}
+
 double friis_rx_power_mw(const PropagationParams& p, double distance_m) {
     if (distance_m <= 0.0) {
         throw std::invalid_argument("friis_rx_power_mw: distance must be > 0");
     }
-    const double factor =
-        p.wavelength_m / (4.0 * std::numbers::pi * distance_m);
-    return p.tx_power_mw * p.antenna_gain * p.antenna_gain * factor * factor /
-           p.system_loss;
+    return TwoRayLaw(p).friis_mw(distance_m * distance_m);
 }
 
 double two_ray_rx_power_mw(const PropagationParams& p, double distance_m) {
@@ -31,18 +38,7 @@ double two_ray_rx_power_mw(const PropagationParams& p, double distance_m) {
         throw std::invalid_argument(
             "two_ray_rx_power_mw: distance must be > 0");
     }
-    const double friis = friis_rx_power_mw(p, distance_m);
-    if (distance_m < p.crossover_distance_m()) {
-        return friis;
-    }
-    const double h2 = p.antenna_height_m * p.antenna_height_m;
-    const double d2 = distance_m * distance_m;
-    const double two_ray =
-        p.tx_power_mw * p.antenna_gain * p.antenna_gain * h2 * h2 /
-        (d2 * d2 * p.system_loss);
-    // The raw two-ray law can exceed Friis just past the crossover; physical
-    // received power cannot grow with distance, so clamp.
-    return std::min(friis, two_ray);
+    return TwoRayLaw(p).rx_power_mw(distance_m * distance_m);
 }
 
 double two_ray_range_for_threshold(const PropagationParams& p,

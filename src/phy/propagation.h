@@ -23,13 +23,41 @@ struct PropagationParams {
     double crossover_distance_m() const;
 };
 
-// Received power (mW) at distance d (m) under free-space (Friis).
+// The two-ray ground law on the squared distance d^2 (m^2): Friis,
+// Pt*Gt*Gr*lambda^2/((4*pi)^2*L*d^2), below the crossover distance, and
+// beyond it Pt*Gt*Gr*ht^2*hr^2/(L*d^4), capped by Friis so that power never
+// grows with distance (the raw law can exceed Friis just past the
+// crossover). Both constants and the squared crossover are computed once,
+// so a caller holding a displacement needs no square root and no libm.
+class TwoRayLaw {
+public:
+    explicit TwoRayLaw(const PropagationParams& p);
+
+    // Free-space received power (mW) at squared distance d_sq > 0.
+    double friis_mw(double d_sq) const { return friis_k_ / d_sq; }
+
+    // Two-ray ground received power (mW) at squared distance d_sq > 0.
+    double rx_power_mw(double d_sq) const {
+        const double friis = friis_mw(d_sq);
+        if (d_sq < crossover_sq_) {
+            return friis;
+        }
+        const double two_ray = two_ray_k_ / (d_sq * d_sq);
+        return two_ray < friis ? two_ray : friis;
+    }
+
+private:
+    double friis_k_;       // Pt*Gt*Gr*lambda^2 / ((4*pi)^2 * L)
+    double two_ray_k_;     // Pt*Gt*Gr*ht^2*hr^2 / L
+    double crossover_sq_;  // d_c^2
+};
+
+// Received power (mW) at distance d (m) under free-space (Friis); a
+// wrapper over TwoRayLaw for callers that hold a distance.
 double friis_rx_power_mw(const PropagationParams& p, double distance_m);
 
-// Received power (mW) under two-ray ground: Friis below the crossover
-// distance, Pt*Gt*Gr*ht^2*hr^2/d^4 beyond it (continuous at the crossover
-// up to the usual small model discontinuity, which we smooth by taking the
-// min of the two laws beyond crossover).
+// Received power (mW) at distance d (m) under two-ray ground; a wrapper
+// over TwoRayLaw::rx_power_mw(d * d).
 double two_ray_rx_power_mw(const PropagationParams& p, double distance_m);
 
 // Distance (m) at which two-ray received power falls to `threshold_mw`.

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 namespace pqs::phy {
 namespace {
@@ -32,6 +34,63 @@ TEST(Propagation, PaperConstantsAreSelfConsistent) {
                 2.0);
     EXPECT_NEAR(two_ray_range_for_threshold(p, t.cs_threshold_mw), 299.0,
                 3.0);
+    // The channel's law on d^2 meets each threshold at exactly that range.
+    const TwoRayLaw law(p);
+    for (const double threshold : {t.rx_threshold_mw, t.cs_threshold_mw}) {
+        const double r = two_ray_range_for_threshold(p, threshold);
+        EXPECT_NEAR(law.rx_power_mw(r * r), threshold, threshold * 1e-12);
+    }
+}
+
+// The two-ray ground law in closed form, from the distance, in long
+// double: Friis below the crossover, min(Friis, d^-4 law) beyond it.
+long double closed_form_rx_mw(const PropagationParams& p, double d) {
+    const long double pi = std::numbers::pi_v<long double>;
+    const long double gain = static_cast<long double>(p.tx_power_mw) *
+                             p.antenna_gain * p.antenna_gain / p.system_loss;
+    const long double dist = d;
+    const long double h2 = static_cast<long double>(p.antenna_height_m) *
+                           p.antenna_height_m;
+    const long double factor = p.wavelength_m / (4.0L * pi * dist);
+    const long double friis = gain * factor * factor;
+    if (dist < 4.0L * pi * h2 / p.wavelength_m) {
+        return friis;
+    }
+    return std::min(friis, gain * h2 * h2 / (dist * dist * dist * dist));
+}
+
+// Distance in units in the last place of `want`.
+double ulps(double got, long double want) {
+    const auto w = static_cast<double>(want);
+    const double ulp = std::nextafter(w, INFINITY) - w;
+    return static_cast<double>(std::fabs(static_cast<long double>(got) -
+                                         want)) /
+           ulp;
+}
+
+TEST(Propagation, FoldedLawMatchesTheClosedForm) {
+    const PropagationParams p;
+    const TwoRayLaw law(p);
+    const double crossover = p.crossover_distance_m();
+    std::vector<double> ds;
+    for (double d = 0.5; d <= 2000.0; d *= 1.001) {
+        ds.push_back(d);
+    }
+    // Both sides of the crossover, down to single doubles.
+    for (const double step : {1e-9, 1e-6, 1e-3, 1.0}) {
+        ds.push_back(crossover - step);
+        ds.push_back(crossover + step);
+    }
+    ds.push_back(crossover);
+    double worst = 0.0;
+    for (const double d : ds) {
+        const double got = law.rx_power_mw(d * d);
+        worst = std::max(worst, ulps(got, closed_form_rx_mw(p, d)));
+        // The distance-taking functions are wrappers over the same law.
+        ASSERT_EQ(two_ray_rx_power_mw(p, d), got) << d;
+        ASSERT_EQ(friis_rx_power_mw(p, d), law.friis_mw(d * d)) << d;
+    }
+    EXPECT_LE(worst, 4.0);
 }
 
 TEST(Propagation, CrossoverDistance) {

@@ -32,7 +32,7 @@ public:
                       util::NodeId exclude) const override {
         for (util::NodeId i = 0; i < positions_.size(); ++i) {
             if (i != exclude && alive_[i] &&
-                geom::distance(center, positions_[i]) <= radius) {
+                geom::in_range(center, positions_[i], radius)) {
                 out.push_back(i);
             }
         }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/rng.h"
 
@@ -29,7 +30,11 @@ std::vector<util::NodeId> brute_force(const std::vector<Vec2>& pts,
         if (i == exclude) {
             continue;
         }
-        if (metric_distance(metric, center, pts[i], side) <= radius) {
+        const bool hit =
+            metric == Metric::kPlane
+                ? in_range(center, pts[i], radius)
+                : torus_distance(center, pts[i], side) <= radius;
+        if (hit) {
             out.push_back(i);
         }
     }
@@ -261,6 +266,44 @@ TEST(Vec2, Arithmetic) {
     EXPECT_EQ((a * 2.0), (Vec2{2.0, 4.0}));
     EXPECT_DOUBLE_EQ((Vec2{3.0, 4.0}).norm(), 5.0);
     EXPECT_DOUBLE_EQ(distance_sq(a, b), 8.0);
+}
+
+// The plane's one range predicate decides on the squared distance.
+TEST(InRange, BoundaryIsDecidedOnTheSquaredDistance) {
+    const Vec2 origin{0.0, 0.0};
+    // 3^2 + 4^2 = 5^2 exactly: a point on the circle is in range.
+    EXPECT_TRUE(in_range(origin, {3.0, 4.0}, 5.0));
+    // One double further out, or one double less radius, is out.
+    EXPECT_FALSE(in_range(origin, {3.0, std::nextafter(4.0, 5.0)}, 5.0));
+    EXPECT_FALSE(in_range(origin, {3.0, 4.0}, std::nextafter(5.0, 0.0)));
+    // Where hypot and the squared sum round to different sides of r, the
+    // squared sum decides. hypot(0.174, 0.232) rounds to 0.29, but
+    // 0.174^2 + 0.232^2 rounds to 0.08410000000000001 > 0.29^2: out.
+    EXPECT_EQ(std::hypot(0.174, 0.232), 0.29);
+    EXPECT_EQ(distance_sq(origin, {0.174, 0.232}), 0.08410000000000001);
+    EXPECT_EQ(0.29 * 0.29, 0.0841);
+    EXPECT_FALSE(in_range(origin, {0.174, 0.232}, 0.29));
+    // And the other way: hypot(1.002, 1.336) rounds above 1.67, while the
+    // squared sum equals 1.67^2: in.
+    EXPECT_GT(std::hypot(1.002, 1.336), 1.67);
+    EXPECT_EQ(distance_sq(origin, {1.002, 1.336}), 1.67 * 1.67);
+    EXPECT_TRUE(in_range(origin, {1.002, 1.336}, 1.67));
+    // 0.3^2 + 0.4^2 rounds to exactly 0.25 = 0.5^2: in.
+    EXPECT_EQ(distance_sq(origin, {0.3, 0.4}), 0.25);
+    EXPECT_TRUE(in_range(origin, {0.3, 0.4}, 0.5));
+}
+
+TEST(InRange, IsSymmetric) {
+    util::Rng rng(7);
+    for (int i = 0; i < 20000; ++i) {
+        const Vec2 a{rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)};
+        const Vec2 b{rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)};
+        // At the boundary (a rounded true distance) and at any radius.
+        for (const double r : {std::sqrt(distance_sq(a, b)),
+                               rng.uniform(0.0, 1500.0)}) {
+            ASSERT_EQ(in_range(a, b, r), in_range(b, a, r));
+        }
+    }
 }
 
 TEST(Vec2, TorusDistance) {

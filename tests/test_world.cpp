@@ -325,6 +325,57 @@ TEST(World, MobileWorldChangesTopologyOverTime) {
     EXPECT_NE(b, after);
 }
 
+// One "in range" for every caller: on random plane worlds, with ticked
+// and with lazy mobility, nodes_within returns exactly the alive ids that
+// pass geom::in_range against the exact positions (brute force).
+TEST(World, NodesWithinIsTheInRangePredicate) {
+    std::size_t pairs = 0;
+    for (const bool lazy : {false, true}) {
+        for (const std::uint64_t seed : {11u, 12u, 13u}) {
+            WorldParams p = small_world(200, seed);
+            p.mobile = true;
+            p.waypoint.lazy = lazy;
+            p.waypoint.min_speed = 2.0;
+            p.waypoint.max_speed = 12.0;
+            p.waypoint.pause = sim::kSecond;
+            World w(p);
+            w.start();
+            for (util::NodeId id = 0; id < 200; id += 17) {
+                w.fail_node(id);
+            }
+            for (int step = 1; step <= 4; ++step) {
+                w.simulator().run_until(step * 5 * sim::kSecond +
+                                        777 * step * sim::kMicrosecond);
+                for (util::NodeId id = 0; id < w.node_count(); ++id) {
+                    if (!w.alive(id)) {
+                        continue;
+                    }
+                    const geom::Vec2 at = w.position(id);
+                    std::vector<util::NodeId> got;
+                    w.nodes_within(at, w.range(), got, id);
+                    for (const util::NodeId u : got) {
+                        ASSERT_TRUE(
+                            geom::in_range(at, w.position(u), w.range()));
+                    }
+                    std::vector<util::NodeId> want;
+                    w.alive_set().for_each([&](util::NodeId u) {
+                        if (u != id &&
+                            geom::in_range(at, w.position(u), w.range())) {
+                            want.push_back(u);
+                        }
+                    });
+                    std::sort(got.begin(), got.end());
+                    ASSERT_EQ(got, want)
+                        << "lazy " << lazy << " seed " << seed << " node "
+                        << id << " step " << step;
+                    pairs += got.size();
+                }
+            }
+        }
+    }
+    EXPECT_GT(pairs, 6u * 4u * 180u);  // about d_avg = 10 per node
+}
+
 TEST(World, DeliverToDeadNodeDropped) {
     WorldParams p = small_world();
     p.oracle_neighbors = true;

@@ -5,6 +5,8 @@ cache per-file results. Semantics are unchanged from the PR 2-6 linter:
   held-ref-across-send, raw-random, unordered-output, raw-stdout,
   dangling-schedule-capture, raw-timestamp, hot-path-alloc
 
+plus hot-path-libm, which keeps libm calls out of `// pqs-hot` bodies.
+
 Path scoping: raw-stdout and raw-timestamp apply only under src/ (bench
 and tools legitimately print tables and measure wall time); the other
 rules apply to every scanned file. Suppress any finding with
@@ -21,10 +23,11 @@ RULE_RAW_STDOUT = "raw-stdout"
 RULE_DANGLING_SCHEDULE = "dangling-schedule-capture"
 RULE_RAW_TIMESTAMP = "raw-timestamp"
 RULE_HOT_ALLOC = "hot-path-alloc"
+RULE_HOT_LIBM = "hot-path-libm"
 
 LINE_RULES = (RULE_HELD_REF, RULE_RAW_RANDOM, RULE_UNORDERED_OUTPUT,
               RULE_RAW_STDOUT, RULE_DANGLING_SCHEDULE, RULE_RAW_TIMESTAMP,
-              RULE_HOT_ALLOC)
+              RULE_HOT_ALLOC, RULE_HOT_LIBM)
 
 # Calls that can synchronously re-enter the location service and resolve
 # (erase) a pending op while the caller still holds a table reference.
@@ -83,6 +86,15 @@ HOT_ALLOC_RE = re.compile(
     r"|\bstd\s*::\s*string\s+\w+\s*[;({=]"
     r"|\bstd\s*::\s*make_unique\s*<"
     r"|\bstd\s*::\s*make_shared\s*<")
+
+# libm on a per-reception path: a range test is distance_sq(a, b) <= r * r
+# (geom::in_range), and received power comes from phy::TwoRayLaw on d^2.
+# Unqualified distance( is geom's own spelling inside namespace geom.
+HOT_LIBM_RE = re.compile(
+    r"\bstd\s*::\s*(?:hypot|pow|exp|log\w*)\s*\("
+    r"|(?:\bgeom\s*::\s*|(?<![\w:.>]))distance\s*\("
+    r"|\btorus_distance\s*\("
+    r"|\.\s*norm\s*\(\s*\)")
 
 
 def parse_allows(raw_lines):
@@ -383,8 +395,10 @@ def _rule_raw_timestamp(prep, norm):
     return out
 
 
-def _rule_hot_alloc(prep, norm):
-    out = []
+def _hot_body_lines(prep):
+    """(annotation line, body line) index pairs, 0-based, for every line of
+    each function annotated `// pqs-hot`, from its opening brace to the
+    matching close."""
     for start, raw_line in enumerate(prep.raw_lines):
         if not HOT_ANNOT_RE.search(raw_line):
             continue
@@ -395,17 +409,37 @@ def _rule_hot_alloc(prep, norm):
             if not entered and "{" not in body:
                 continue
             entered = True
-            for m in HOT_ALLOC_RE.finditer(body):
-                out.append((j, RULE_HOT_ALLOC,
-                            "heap construction '%s' inside a // pqs-hot "
-                            "function (annotated line %d); reuse a pooled "
-                            "buffer (acquire_ids / BlockPool / new_packet) "
-                            "or hoist it out of the hot path"
-                            % (m.group(0).strip().rstrip("(;{=").strip(),
-                               start + 1)))
+            yield start, j
             depth += body.count("{") - body.count("}")
             if depth <= 0:
                 break
+
+
+def _rule_hot_alloc(prep, norm):
+    out = []
+    for start, j in _hot_body_lines(prep):
+        for m in HOT_ALLOC_RE.finditer(prep.lines[j]):
+            out.append((j, RULE_HOT_ALLOC,
+                        "heap construction '%s' inside a // pqs-hot "
+                        "function (annotated line %d); reuse a pooled "
+                        "buffer (acquire_ids / BlockPool / new_packet) "
+                        "or hoist it out of the hot path"
+                        % (m.group(0).strip().rstrip("(;{=").strip(),
+                           start + 1)))
+    return out
+
+
+def _rule_hot_libm(prep, norm):
+    out = []
+    for start, j in _hot_body_lines(prep):
+        for m in HOT_LIBM_RE.finditer(prep.lines[j]):
+            out.append((j, RULE_HOT_LIBM,
+                        "libm call '%s' inside a // pqs-hot function "
+                        "(annotated line %d); test range with "
+                        "geom::in_range (squared distance) and take "
+                        "received power from phy::TwoRayLaw on d^2"
+                        % (re.sub(r"\s+", "", m.group(0)).rstrip("("),
+                           start + 1)))
     return out
 
 
@@ -417,6 +451,7 @@ _RULE_FNS = {
     RULE_RAW_STDOUT: _rule_raw_stdout,
     RULE_RAW_TIMESTAMP: _rule_raw_timestamp,
     RULE_HOT_ALLOC: _rule_hot_alloc,
+    RULE_HOT_LIBM: _rule_hot_libm,
 }
 
 

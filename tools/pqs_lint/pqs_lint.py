@@ -15,7 +15,8 @@ in passes:
                     call-chain traces where a chain explains the finding
 
 Line rules: held-ref-across-send, raw-random, unordered-output,
-raw-stdout, dangling-schedule-capture, raw-timestamp, hot-path-alloc.
+raw-stdout, dangling-schedule-capture, raw-timestamp, hot-path-alloc,
+hot-path-libm.
 
 Flow rules: event-lifetime (every armed EventId must be cancelled on its
 owner's destructor path or annotated fire-and-forget), transitive

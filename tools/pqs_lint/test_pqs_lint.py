@@ -16,6 +16,7 @@ import cache as cache_mod  # noqa: E402
 import callgraph  # noqa: E402
 import cpplex  # noqa: E402
 import flowrules  # noqa: E402
+import linerules  # noqa: E402
 import pqs_lint  # noqa: E402
 import symtab  # noqa: E402
 
@@ -331,6 +332,61 @@ class RevertGuardTest(unittest.TestCase):
              h.replace("~CsmaMac() { shutdown(); }", "")),
             ("src/mac/csma_mac.cpp", self.read("src/mac/csma_mac.cpp"))])
         self.assertTrue(any("ack_timer_" in f["message"] for f in found))
+
+
+class HotPathLibmTest(unittest.TestCase):
+    """hot-path-libm: no libm range test or propagation law inside a
+    // pqs-hot body, on fixtures and on the real per-reception paths."""
+
+    def libm_lines(self, text, path="src/x.cpp"):
+        found = linerules.run_line_rules(path, linerules.Prep(text))
+        return [f["line"] for f in found
+                if f["rule"] == linerules.RULE_HOT_LIBM]
+
+    def read(self, rel):
+        with open(os.path.join(REPO_ROOT, rel), encoding="utf-8") as f:
+            return f.read()
+
+    def test_flags_each_libm_spelling_only_in_hot_bodies(self):
+        text = "\n".join([
+            "double cold(Vec2 a, Vec2 b) { return geom::distance(a, b); }",
+            "// pqs-hot",
+            "void hot(Vec2 a, Vec2 b, It i, It j) {",
+            "    x = geom::distance(a, b);",
+            "    x = std::hypot(a.x, a.y) + std::pow(x, 4.0);",
+            "    x = std::exp(x) + std::log1p(x) + (a - b).norm();",
+            "    x = torus_distance(a, b, 1.0) + distance(a, b);",
+            "    x = geom::distance_sq(a, b) + (a - b).norm_sq();",
+            "    n = std::distance(i, j) + std::exp2(x);",
+            "    // std::hypot in a comment is not a call",
+            "    y = \"std::pow(\";",
+            "}",
+            "double after(Vec2 a) { return a.norm(); }",
+        ])
+        self.assertEqual(self.libm_lines(text), [4, 5, 5, 6, 6, 6, 7, 7])
+
+    def test_allow_comment_suppresses(self):
+        text = ("// pqs-hot\nvoid hot() {\n"
+                "    d = torus_distance(a, b, s);"
+                "  // pqs-lint: allow(hot-path-libm)\n}\n")
+        self.assertEqual(self.libm_lines(text), [])
+
+    def test_real_hot_paths_are_clean(self):
+        for rel in ("src/net/abstract_network.cpp", "src/net/world.cpp",
+                    "src/geom/spatial_grid.cpp", "src/phy/channel.cpp"):
+            self.assertEqual(self.libm_lines(self.read(rel), rel), [], rel)
+
+    def test_distance_back_in_broadcast_is_caught(self):
+        rel = "src/net/abstract_network.cpp"
+        cpp = self.read(rel)
+        needle = "geom::in_range(at, world_.position(to), world_.range())"
+        self.assertIn(needle, cpp)  # keep in sync with AbstractLink
+        reverted = cpp.replace(
+            needle, "geom::distance(at, world_.position(to)) <= "
+                    "world_.range()")
+        lines = self.libm_lines(reverted, rel)
+        self.assertEqual(len(lines), 1)
+        self.assertIn("geom::distance", reverted.split("\n")[lines[0] - 1])
 
 
 class CacheTest(unittest.TestCase):
