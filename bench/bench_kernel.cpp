@@ -4,8 +4,9 @@
 //   1. event_churn (micro): steady-state schedule/pop/cancel churn through
 //      the slab-backed 4-ary heap event queue.
 //   2. cancel_reclaim (micro) and grid_mobility (meso): tombstone
-//      reclamation and SpatialGrid::move/query under a mobility-like
-//      workload.
+//      reclamation and SpatialGrid::move plus range queries (cell
+//      candidates filtered against the bench's positions) under a
+//      mobility-like workload.
 //   3. e2e_unique_path_n200 (meso): one full-stack n=200 mobile scenario
 //      with RANDOM advertise x UNIQUE-PATH lookup (the Fig. 10 shape), and
 //      e2e_80211_n80: the same strategies at n=80 on the paper's §8 stack
@@ -161,7 +162,7 @@ ReclaimResult run_cancel_reclaim(std::uint64_t seed, std::size_t events) {
 }
 
 // ---------------------------------------------------------------------
-// 3. grid_mobility — SpatialGrid::move + query under a mobility workload
+// 3. grid_mobility — SpatialGrid::move + range query under mobility
 // ---------------------------------------------------------------------
 
 struct GridResult {
@@ -201,8 +202,10 @@ GridResult run_grid_mobility(std::uint64_t seed, std::size_t n,
         for (std::size_t k = 0; k < n / 10 + 1; ++k) {
             out.clear();
             const auto who = static_cast<util::NodeId>(rng.index(n));
-            grid.query(pos[who], range, out, who);
-            r.found += out.size();
+            grid.query_cells(pos[who], range, out, who);
+            for (const util::NodeId id : out) {
+                r.found += geom::in_range(pos[who], pos[id], range) ? 1 : 0;
+            }
             ++r.ops;
         }
     }

@@ -47,15 +47,22 @@ void BM_SpatialGridQuery(benchmark::State& state) {
     util::Rng rng(3);
     const double side = 3000.0;
     geom::SpatialGrid grid(side, 200.0);
+    std::vector<geom::Vec2> pos;
     for (util::NodeId i = 0; i < 800; ++i) {
-        grid.insert(i, {rng.uniform(0.0, side), rng.uniform(0.0, side)});
+        pos.push_back({rng.uniform(0.0, side), rng.uniform(0.0, side)});
+        grid.insert(i, pos.back());
     }
     std::vector<util::NodeId> out;
     for (auto _ : state) {
         out.clear();
-        grid.query({rng.uniform(0.0, side), rng.uniform(0.0, side)}, 200.0,
-                   out);
-        benchmark::DoNotOptimize(out.data());
+        const geom::Vec2 center{rng.uniform(0.0, side),
+                                rng.uniform(0.0, side)};
+        grid.query_cells(center, 200.0, out);
+        std::size_t found = 0;
+        for (const util::NodeId id : out) {
+            found += geom::in_range(center, pos[id], 200.0) ? 1 : 0;
+        }
+        benchmark::DoNotOptimize(found);
     }
 }
 BENCHMARK(BM_SpatialGridQuery);

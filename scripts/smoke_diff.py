@@ -6,12 +6,18 @@ Usage: scripts/smoke_diff.py PARENT_BUILD CHANGE_BUILD
 Runs every bench and example from both build trees: the figure benches
 at PQS_SCALE=smoke, the JSON benches (kernel, scale, byzantine,
 frontier, energy) with --smoke --out, trace_demo with --smoke --out and
-the other examples with their default arguments. Each program runs in
-its own scratch directory, so output paths match between the trees.
+the other examples with their default arguments. It also runs each
+tree's perfbench_driver (the repository benchmark's driver, built by the
+main build) on the three benchmark workloads at --seed 101 --seconds
+0.001 --trace 1: one untraced and one traced pass each. Each program
+runs in its own scratch directory, so output paths match between the
+trees.
 
 Compared per program: the exit status, stdout without the host-dependent
 lines listed in HOST_LINES, and every JSON file the program wrote,
-without the fields matched by HOST_FIELDS. stderr carries perf and log
+without the fields matched by HOST_FIELDS. For perfbench_driver, whose
+stdout is one JSON result, only its deterministic part is compared: the
+`det` block and each pass's fingerprint. stderr carries perf and log
 lines and is not compared. bench_micro_kernels prints only timings and
 is not run.
 
@@ -29,6 +35,9 @@ from pathlib import Path
 
 JSON_BENCHES = ["bench_kernel", "bench_scale", "bench_byzantine",
                 "bench_frontier", "bench_energy"]
+
+PERFBENCH_WORKLOADS = ["kv_zipf", "paper_walks_80211", "scale_churn_100k"]
+PERFBENCH_ARGS = ["--seed", "101", "--seconds", "0.001", "--trace", "1"]
 
 # stdout lines that depend on the host, one regex each.
 HOST_LINES = [re.compile(p) for p in [
@@ -68,6 +77,12 @@ def programs(build):
             args = ["--smoke", "--out", "trace"] \
                 if path.name == "trace_demo" else []
             out[path.name] = (path, args, {})
+    driver = build / "bench" / "perfbench_driver"
+    if driver.is_file():
+        for workload in PERFBENCH_WORKLOADS:
+            out["perfbench_" + workload] = (
+                driver, ["--workload", workload] + PERFBENCH_ARGS,
+                {"PQS_THREADS": "1"})
     return out
 
 
@@ -76,13 +91,27 @@ def run(binary, args, env, workdir):
     proc = subprocess.run([str(binary.resolve())] + args, cwd=workdir,
                           env={**os.environ, **env}, capture_output=True,
                           text=True)
-    stdout = [line for line in proc.stdout.splitlines()
-              if not any(p.search(line) for p in HOST_LINES)]
-    jsons = {}
-    for path in sorted(workdir.glob("*.json")):
-        jsons[path.name] = json.dumps(strip(json.loads(path.read_text())),
-                                      indent=1, sort_keys=True).splitlines()
+    if binary.name == "perfbench_driver":
+        stdout = perfbench_det(proc.stdout) if proc.returncode == 0 else []
+    else:
+        stdout = [line for line in proc.stdout.splitlines()
+                  if not any(p.search(line) for p in HOST_LINES)]
+    jsons = {path.name: comparable(json.loads(path.read_text()))
+             for path in sorted(workdir.glob("*.json"))}
     return proc.returncode, stdout, jsons
+
+
+def perfbench_det(stdout):
+    """The deterministic part of a perfbench_driver result, as lines."""
+    result = json.loads(stdout)
+    det = {"det": result["det"],
+           "fingerprints": [p["fingerprint"] for p in result["passes"]]}
+    return json.dumps(det, indent=1, sort_keys=True).splitlines()
+
+
+def comparable(document):
+    """A JSON document without its host-dependent fields, as lines."""
+    return json.dumps(strip(document), indent=1, sort_keys=True).splitlines()
 
 
 def strip(value):

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 
 namespace pqs::geom {
@@ -78,8 +79,7 @@ void SpatialGrid::insert(util::NodeId id, Vec2 pos) {
         rebuild(cell);
         c = &cells_[cell];
     }
-    entries_[id] = Entry{pos, true, static_cast<std::uint32_t>(cell),
-                         c->count};
+    entries_[id] = Entry{true, static_cast<std::uint32_t>(cell), c->count};
     slots_[c->start + c->count] = id;
     ++c->count;
     ++live_count_;
@@ -125,84 +125,18 @@ void SpatialGrid::move(util::NodeId id, Vec2 new_pos) {
         slots_[c->start + c->count] = id;
         ++c->count;
     }
-    entries_[id].pos = new_pos;
 }
 
 bool SpatialGrid::contains(util::NodeId id) const {
     return id < entries_.size() && entries_[id].live;
 }
 
-Vec2 SpatialGrid::position(util::NodeId id) const {
-    if (!contains(id)) {
-        throw std::logic_error("SpatialGrid::position: id not present");
-    }
-    return entries_[id].pos;
-}
-
 // pqs-hot: every broadcast's receiver set and every neighbour snapshot.
-void SpatialGrid::query(Vec2 center, double radius,
-                        std::vector<util::NodeId>& out,
-                        util::NodeId exclude) const {
-    ++stats_.grid_queries;
-    const auto reach =
-        static_cast<long>(std::ceil(radius / cell_size_));
-    const long cx = static_cast<long>(
-        std::min(center.x / cell_size_,
-                 static_cast<double>(cells_per_side_ - 1)));
-    const long cy = static_cast<long>(
-        std::min(center.y / cell_size_,
-                 static_cast<double>(cells_per_side_ - 1)));
-    const long n = static_cast<long>(cells_per_side_);
-
-    for (long dy = -reach; dy <= reach; ++dy) {
-        for (long dx = -reach; dx <= reach; ++dx) {
-            long gx = cx + dx;
-            long gy = cy + dy;
-            if (metric_ == Metric::kTorus) {
-                gx = ((gx % n) + n) % n;
-                gy = ((gy % n) + n) % n;
-            } else if (gx < 0 || gy < 0 || gx >= n || gy >= n) {
-                continue;
-            }
-            // On a small torus the wrap can revisit cells; guard against
-            // double-counting by skipping duplicates of the center cell ring.
-            const Cell& cell =
-                cells_[static_cast<std::size_t>(gy) * cells_per_side_ +
-                       static_cast<std::size_t>(gx)];
-            for (std::uint32_t s = 0; s < cell.count; ++s) {
-                const util::NodeId id = slots_[cell.start + s];
-                if (id == exclude) {
-                    continue;
-                }
-                ++stats_.grid_candidates;
-                const Vec2 p = entries_[id].pos;
-                bool hit = false;
-                if (metric_ == Metric::kTorus) {
-                    // Only the analysis benches query a torus, and their
-                    // RGG results are pinned on the hypot rounding.
-                    const double d = torus_distance(center, p, side_);  // pqs-lint: allow(hot-path-libm)
-                    hit = d * d <= radius * radius;
-                } else {
-                    hit = in_range(center, p, radius);
-                }
-                if (hit) {
-                    out.push_back(id);
-                }
-            }
-        }
-    }
-    if (metric_ == Metric::kTorus && 2 * reach + 1 >= n) {
-        // Wrapped rings overlapped: deduplicate.
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
-    }
-}
-
-// pqs-hot: the lazy-mobility half of every World::nodes_within.
 void SpatialGrid::query_cells(Vec2 center, double radius,
                               std::vector<util::NodeId>& out,
                               util::NodeId exclude) const {
     ++stats_.grid_queries;
+    const std::size_t first = out.size();
     const auto reach =
         static_cast<long>(std::ceil(radius / cell_size_));
     const long cx = static_cast<long>(
@@ -237,8 +171,11 @@ void SpatialGrid::query_cells(Vec2 center, double radius,
         }
     }
     if (metric_ == Metric::kTorus && 2 * reach + 1 >= n) {
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
+        // Wrapped rings overlapped: deduplicate what this query appended.
+        const auto appended =
+            out.begin() + static_cast<std::ptrdiff_t>(first);
+        std::sort(appended, out.end());
+        out.erase(std::unique(appended, out.end()), out.end());
     }
 }
 

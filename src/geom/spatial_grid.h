@@ -1,7 +1,8 @@
-// Uniform-grid spatial index over node positions. Supports O(1) expected
-// range queries with radius <= cell size, used for neighbor discovery,
-// radio reception sets and RGG construction. Positions can be updated in
-// place (mobility) without rebuilding.
+// Uniform-grid cell index over node ids, for neighbor discovery, radio
+// reception sets and RGG construction. It keeps cells, not positions: a
+// position only chooses a node's cell in insert() and move(), and the
+// one query returns the ids in every cell a circle touches. The caller
+// keeps those its own positions put in range, one `<= r * r` test each.
 //
 // Storage is flat (SoA): every cell's member ids live in one shared
 // `slots_` array addressed by per-cell {start, count, capacity} — no
@@ -35,36 +36,31 @@ public:
     double cell_size() const { return cell_size_; }
     Metric metric() const { return metric_; }
 
-    // Inserts a node. Ids may be sparse; re-inserting an existing id is an
-    // error (use move/remove).
+    // Inserts a node into the cell holding `pos`. Ids may be sparse;
+    // re-inserting an existing id is an error (use move/remove).
     void insert(util::NodeId id, Vec2 pos);
     void remove(util::NodeId id);
+    // Puts the node into the cell holding `new_pos`.
     void move(util::NodeId id, Vec2 new_pos);
     bool contains(util::NodeId id) const;
-    Vec2 position(util::NodeId id) const;
     std::size_t size() const { return live_count_; }
 
-    // All node ids within `radius` of `center` (excluding `exclude`,
-    // typically the querying node itself). Appends into `out`.
-    void query(Vec2 center, double radius, std::vector<util::NodeId>& out,
-               util::NodeId exclude = util::kInvalidNode) const;
-
-    // All ids in cells intersecting the `radius`-circle at `center`, with
-    // NO distance test: candidates for a caller that filters against its
-    // own (e.g. lazily-advanced, exact) positions rather than the grid's
-    // committed ones. Cell membership must be current; the stored
-    // positions may be stale. Same cell/slot iteration order as query().
+    // Appends to `out` every id in the cells the `radius`-circle at
+    // `center` touches, except `exclude` (typically the querying node),
+    // in cell/slot order. No distance test: the ids within `radius` are
+    // among them, and the caller tests each against its own positions.
+    // On a torus whose wrapped rings overlap, the appended ids are sorted
+    // and deduplicated; the ids `out` held before are left as they were.
     void query_cells(Vec2 center, double radius,
                      std::vector<util::NodeId>& out,
                      util::NodeId exclude = util::kInvalidNode) const;
 
-    // Kernel counters (queries, candidate distance tests, moves, cell
+    // Kernel counters (queries, candidates returned, moves, cell
     // crossings, flat-storage rebuilds); deterministic for a fixed seed.
     const util::KernelStats& stats() const { return stats_; }
 
 private:
     struct Entry {
-        Vec2 pos;
         bool live = false;
         std::uint32_t cell = 0;
         std::uint32_t slot = 0;  // index within the cell's span
@@ -90,7 +86,7 @@ private:
     std::vector<util::NodeId> slots_;  // all cells' members, one array
     std::vector<Entry> entries_;       // indexed by NodeId
     std::size_t live_count_ = 0;
-    mutable util::KernelStats stats_;  // query() is logically const
+    mutable util::KernelStats stats_;  // query_cells() is logically const
 };
 
 }  // namespace pqs::geom

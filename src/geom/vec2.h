@@ -31,8 +31,9 @@ inline double distance_sq(Vec2 a, Vec2 b) { return (a - b).norm_sq(); }
 
 // The plane's one "is b in range of a" test: |a - b| <= r, decided on the
 // squared distance, so no caller takes a square root. Symmetric, since
-// a - b is exactly -(b - a). Grid queries, World::nodes_within and the
-// abstract link's delivery checks all decide reception with it.
+// a - b is exactly -(b - a). World::nodes_within, the plane RGG builder
+// and the abstract link's delivery checks decide reception with it, and
+// phy::Channel makes the same test on the d² its power law needs.
 inline bool in_range(Vec2 a, Vec2 b, double r) {
     return distance_sq(a, b) <= r * r;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <stdexcept>
 
@@ -320,20 +321,14 @@ void World::schedule_crossing(util::NodeId id) {
 void World::nodes_within(geom::Vec2 center, double radius,
                          std::vector<util::NodeId>& out,
                          util::NodeId exclude) const {
-    if (!lazy_mobility_) {
-        grid_->query(center, radius, out, exclude);
-        return;
-    }
-    // Cell membership is exact in lazy mode but the grid's stored
-    // positions may be stale; take cell candidates and distance-test them
-    // against the closed-form positions.
-    query_scratch_.clear();
-    grid_->query_cells(center, radius, query_scratch_, exclude);
-    for (const util::NodeId id : query_scratch_) {
-        if (geom::in_range(center, position(id), radius)) {
-            out.push_back(id);
-        }
-    }
+    const auto first = static_cast<std::ptrdiff_t>(out.size());
+    grid_->query_cells(center, radius, out, exclude);
+    out.erase(std::remove_if(out.begin() + first, out.end(),
+                             [&](util::NodeId id) {
+                                 return !geom::in_range(center, position(id),
+                                                        radius);
+                             }),
+              out.end());
 }
 
 std::vector<util::NodeId> World::physical_neighbors(util::NodeId id) const {

@@ -170,16 +170,26 @@ public:
     geom::Vec2 position(util::NodeId id) const override;
     void set_position(util::NodeId id, geom::Vec2 pos) override;
     // Closed-form motion (waypoint.lazy): position(id) is computed from
-    // the in-flight leg on demand; the grid stays exact via cell-crossing
-    // events, so mobility cost scales with crossings, not node count.
+    // the in-flight leg on demand; grid cells stay current via
+    // cell-crossing events, so mobility cost scales with crossings, not
+    // node count.
     bool supports_lazy_legs() const override { return lazy_mobility_; }
     sim::Time begin_leg(util::NodeId id, geom::Vec2 target,
                         double speed) override;
     double side() const override { return side_; }
     double range() const { return params_.range; }
+    // Appends the alive ids (but `exclude`) within `radius` of `center`:
+    // the grid's cell candidates, kept when position() is in range.
     void nodes_within(geom::Vec2 center, double radius,
                       std::vector<util::NodeId>& out,
-                      util::NodeId exclude) const override;
+                      util::NodeId exclude) const;
+    // The grid's cell candidates alone, for the channel, which tests
+    // each one's distance itself.
+    void candidates_within(geom::Vec2 center, double radius,
+                           std::vector<util::NodeId>& out,
+                           util::NodeId exclude) const override {
+        grid_->query_cells(center, radius, out, exclude);
+    }
     // Ground-truth nodes currently within radio range of `id`. The
     // vector-returning form is a per-call allocation (counted in
     // alive_snapshots); hot paths use nodes_within with a reused buffer.
@@ -291,9 +301,6 @@ private:
     std::unique_ptr<geom::SpatialGrid> grid_;  // alive nodes only
     bool lazy_mobility_ = false;         // params_.mobile && waypoint.lazy
     std::vector<MotionState> motion_;    // sized only in lazy mode
-    // Candidate buffer for lazy-mode nodes_within (query_cells + exact
-    // distance filter); mutable because queries are logically const.
-    mutable std::vector<util::NodeId> query_scratch_;
 
     std::unique_ptr<mobility::MobilityModel> mobility_;
     std::unique_ptr<LinkLayer> link_;

@@ -48,19 +48,21 @@ void Channel::transmit(util::NodeId src, Frame frame, sim::Time duration) {
         batch->sender->begin_transmit();
     }
 
+    const double cutoff_sq = cutoff_m_ * cutoff_m_;
     nearby_.clear();
-    positions_.nodes_within(origin, cutoff_m_, nearby_, src);
+    positions_.candidates_within(origin, cutoff_m_, nearby_, src);
     for (const util::NodeId id : nearby_) {
         Radio* radio = id < radios_.size() ? radios_[id] : nullptr;
-        // awake, not alive: a sleeping radio hears nothing (it neither
-        // receives nor interferes-locks on quorum probes).
-        if (radio == nullptr || !positions_.awake(id)) {
+        if (radio == nullptr) {
             continue;
         }
-        const double d_sq =
-            geom::distance_sq(origin, positions_.position(id));
-        if (d_sq <= 0.0) {
-            continue;  // co-located; treat as unreceivable
+        // One range test per candidate, geom::in_range's on the d² the
+        // power needs. A co-located radio is unreceivable, and a sleeping
+        // one (awake, not alive) hears nothing: it neither receives nor
+        // interferes-locks on quorum probes.
+        const double d_sq = geom::distance_sq(origin, positions_.position(id));
+        if (d_sq > cutoff_sq || d_sq <= 0.0 || !positions_.awake(id)) {
+            continue;
         }
         const double power = law_.rx_power_mw(d_sq);
         if (power < thresholds_.noise_floor_mw) {

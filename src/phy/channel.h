@@ -28,9 +28,12 @@ public:
     // is alive but not awake, and hears nothing. Defaults to alive for
     // providers without a sleep state.
     virtual bool awake(util::NodeId id) const { return alive(id); }
-    virtual void nodes_within(geom::Vec2 center, double radius,
-                              std::vector<util::NodeId>& out,
-                              util::NodeId exclude) const = 0;
+    // Appends every alive id but `exclude` that may lie within `radius`
+    // of `center`: a superset of those in range (a spatial index's cell
+    // candidates), which the channel distance-tests against position().
+    virtual void candidates_within(geom::Vec2 center, double radius,
+                                   std::vector<util::NodeId>& out,
+                                   util::NodeId exclude) const = 0;
 };
 
 class Channel {
@@ -73,7 +76,7 @@ private:
     RadioThresholds thresholds_;
     double cutoff_m_;
     std::vector<Radio*> radios_;  // by node id; nullptr when detached
-    std::vector<util::NodeId> nearby_;  // nodes_within scratch
+    std::vector<util::NodeId> nearby_;  // candidates_within scratch
     // A receive handler may transmit while its batch is being ended, so
     // batches live in a deque, whose elements keep their addresses as it
     // grows, and are recycled through a free list.

@@ -28,8 +28,8 @@ namespace pqs::util {
     X(callback_heap_allocs) /* callbacks too large for inline storage */ \
     X(calendar_pushes)   /* far-future events parked in the calendar */  \
     X(calendar_migrations) /* calendar entries promoted into the heap */ \
-    X(grid_queries)      /* SpatialGrid::query calls */                  \
-    X(grid_candidates)   /* nodes distance-tested by queries */          \
+    X(grid_queries)      /* SpatialGrid::query_cells calls */            \
+    X(grid_candidates)   /* ids queries returned, before any dedupe */   \
     X(grid_moves)        /* SpatialGrid::move calls */                   \
     X(grid_cell_crossings) /* moves that changed grid cell */            \
     X(grid_rebuilds)     /* flat-storage compactions (cell overflow) */  \

@@ -2,44 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "fixed_positions.h"
 #include "phy/channel.h"
 #include "sim/simulator.h"
 
 namespace pqs::mac {
 namespace {
 
-class FixedPositions final : public phy::PositionProvider {
-public:
-    void add(util::NodeId id, geom::Vec2 pos) {
-        if (positions_.size() <= id) {
-            positions_.resize(id + 1);
-            alive_.resize(id + 1, false);
-        }
-        positions_[id] = pos;
-        alive_[id] = true;
-    }
-    void kill(util::NodeId id) { alive_[id] = false; }
-    geom::Vec2 position(util::NodeId id) const override {
-        return positions_.at(id);
-    }
-    bool alive(util::NodeId id) const override {
-        return id < alive_.size() && alive_[id];
-    }
-    void nodes_within(geom::Vec2 center, double radius,
-                      std::vector<util::NodeId>& out,
-                      util::NodeId exclude) const override {
-        for (util::NodeId i = 0; i < positions_.size(); ++i) {
-            if (i != exclude && alive_[i] &&
-                geom::in_range(center, positions_[i], radius)) {
-                out.push_back(i);
-            }
-        }
-    }
-
-private:
-    std::vector<geom::Vec2> positions_;
-    std::vector<bool> alive_;
-};
+using test::FixedPositions;
 
 struct MacFixture : ::testing::Test {
     sim::Simulator simulator;

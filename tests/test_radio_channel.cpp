@@ -3,45 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include "fixed_positions.h"
 #include "sim/simulator.h"
 
 namespace pqs::phy {
 namespace {
 
-// Fixed-position provider for controlled PHY experiments.
-class FixedPositions final : public PositionProvider {
-public:
-    void add(util::NodeId id, geom::Vec2 pos) {
-        if (positions_.size() <= id) {
-            positions_.resize(id + 1);
-            alive_.resize(id + 1, false);
-        }
-        positions_[id] = pos;
-        alive_[id] = true;
-    }
-
-    geom::Vec2 position(util::NodeId id) const override {
-        return positions_.at(id);
-    }
-    bool alive(util::NodeId id) const override {
-        return id < alive_.size() && alive_[id];
-    }
-    void kill(util::NodeId id) { alive_[id] = false; }
-    void nodes_within(geom::Vec2 center, double radius,
-                      std::vector<util::NodeId>& out,
-                      util::NodeId exclude) const override {
-        for (util::NodeId i = 0; i < positions_.size(); ++i) {
-            if (i != exclude && alive_[i] &&
-                geom::in_range(center, positions_[i], radius)) {
-                out.push_back(i);
-            }
-        }
-    }
-
-private:
-    std::vector<geom::Vec2> positions_;
-    std::vector<bool> alive_;
-};
+using test::FixedPositions;
 
 struct ChannelFixture : ::testing::Test {
     sim::Simulator simulator;

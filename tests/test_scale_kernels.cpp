@@ -162,7 +162,9 @@ TEST(BlockPool, AllocateSharedRoundTripReusesOneBlock) {
 
 // Flat grid vs. the frozen legacy grid: random interleavings, exact
 // output (values AND order) required. Run on both metrics; the torus
-// wrap path and its dedup guard are part of the contract.
+// wrap path and its dedup guard are part of the contract. The flat grid
+// keeps no positions, so its range query is its cell candidates filtered
+// against the positions this test holds, as World and the RGG builder do.
 void grid_differential(std::uint64_t seed, geom::Metric metric) {
     util::Rng rng(seed);
     const double side = 100.0;
@@ -172,6 +174,7 @@ void grid_differential(std::uint64_t seed, geom::Metric metric) {
 
     constexpr std::size_t kIds = 160;
     std::vector<bool> present(kIds, false);
+    std::vector<geom::Vec2> positions(kIds);
     const auto random_pos = [&rng, side] {
         return geom::Vec2{rng.uniform01() * side, rng.uniform01() * side};
     };
@@ -184,6 +187,7 @@ void grid_differential(std::uint64_t seed, geom::Metric metric) {
                 const geom::Vec2 pos = random_pos();
                 flat.insert(id, pos);
                 legacy.insert(id, pos);
+                positions[id] = pos;
                 present[id] = true;
             }
         } else if (dice < 0.40) {
@@ -199,7 +203,7 @@ void grid_differential(std::uint64_t seed, geom::Metric metric) {
                 // the rebuild path).
                 geom::Vec2 pos;
                 if (rng.uniform01() < 0.7) {
-                    const geom::Vec2 old = flat.position(id);
+                    const geom::Vec2 old = positions[id];
                     const auto clamp = [side](double v) {
                         return v < 0.0 ? 0.0 : (v > side ? side : v);
                     };
@@ -211,6 +215,7 @@ void grid_differential(std::uint64_t seed, geom::Metric metric) {
                 }
                 flat.move(id, pos);
                 legacy.move(id, pos);
+                positions[id] = pos;
             }
         } else {
             const geom::Vec2 center = random_pos();
@@ -218,7 +223,15 @@ void grid_differential(std::uint64_t seed, geom::Metric metric) {
             const auto exclude = static_cast<util::NodeId>(rng.index(kIds));
             std::vector<util::NodeId> got;
             std::vector<util::NodeId> want;
-            flat.query(center, radius, got, exclude);
+            flat.query_cells(center, radius, got, exclude);
+            std::erase_if(got, [&](util::NodeId candidate) {
+                const geom::Vec2 p = positions[candidate];
+                if (metric == geom::Metric::kTorus) {
+                    const double d = geom::torus_distance(center, p, side);
+                    return d * d > radius * radius;
+                }
+                return !geom::in_range(center, p, radius);
+            });
             legacy.query(center, radius, want, exclude);
             ASSERT_EQ(got, want)
                 << "query diverged at step " << step << " seed " << seed;
@@ -239,35 +252,15 @@ TEST(FlatSpatialGrid, DifferentialVsLegacyTorus) {
     grid_differential(0xbeefULL, geom::Metric::kTorus);
 }
 
-TEST(FlatSpatialGrid, QueryCellsIsSupersetInSameOrder) {
-    // query_cells must visit the same cells in the same order as query and
-    // return every node query returns (it just skips the distance test).
-    util::Rng rng(21);
-    geom::SpatialGrid grid(100.0, 10.0);
-    for (util::NodeId id = 0; id < 120; ++id) {
-        grid.insert(id, geom::Vec2{rng.uniform01() * 100.0,
-                                   rng.uniform01() * 100.0});
-    }
-    for (int q = 0; q < 200; ++q) {
-        const geom::Vec2 center{rng.uniform01() * 100.0,
-                                rng.uniform01() * 100.0};
-        const double radius = rng.uniform01() * 20.0;
-        std::vector<util::NodeId> filtered;
-        std::vector<util::NodeId> candidates;
-        grid.query(center, radius, filtered);
-        grid.query_cells(center, radius, candidates);
-        // `filtered` must be the subsequence of `candidates` that passes
-        // the distance test — same relative order.
-        std::size_t at = 0;
-        for (const util::NodeId id : filtered) {
-            while (at < candidates.size() && candidates[at] != id) {
-                ++at;
-            }
-            ASSERT_LT(at, candidates.size())
-                << "query result missing from query_cells candidates";
-            ++at;
-        }
-    }
+TEST(FlatSpatialGrid, TorusDedupeLeavesEarlierOutputAlone) {
+    // 2 x 2 cells: a one-cell reach wraps onto cells it already visited,
+    // so the query sorts and dedupes, but only the ids it appended.
+    geom::SpatialGrid grid(20.0, 10.0, geom::Metric::kTorus);
+    grid.insert(1, geom::Vec2{15.0, 15.0});
+    grid.insert(0, geom::Vec2{5.0, 5.0});
+    std::vector<util::NodeId> out{99};
+    grid.query_cells(geom::Vec2{5.0, 5.0}, 10.0, out);
+    EXPECT_EQ(out, (std::vector<util::NodeId>{99, 0, 1}));
 }
 
 }  // namespace

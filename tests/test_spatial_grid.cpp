@@ -4,22 +4,57 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/rng.h"
 
 namespace pqs::geom {
 namespace {
 
-// By-value convenience over the appending SpatialGrid::query. The grid
-// itself only exposes the out-param form so production callers cannot
-// allocate per query on the hot path.
-std::vector<util::NodeId> query(const SpatialGrid& grid, Vec2 center,
-                                double radius,
-                                util::NodeId exclude = util::kInvalidNode) {
-    std::vector<util::NodeId> out;
-    grid.query(center, radius, out, exclude);
-    return out;
-}
+// The grid keeps cells, not positions: like World, each test owns the
+// positions it places, and a range query is the grid's cell candidates
+// kept when their position is in range (the RGG builder's test).
+class Placed {
+public:
+    explicit Placed(double side, double cell, Metric metric = Metric::kPlane)
+        : grid(side, cell, metric) {}
+
+    void insert(util::NodeId id, Vec2 p) {
+        grid.insert(id, p);
+        slot(id) = p;
+    }
+    void move(util::NodeId id, Vec2 p) {
+        grid.move(id, p);
+        slot(id) = p;
+    }
+    void remove(util::NodeId id) { grid.remove(id); }
+
+    std::vector<util::NodeId> query(
+        Vec2 center, double radius,
+        util::NodeId exclude = util::kInvalidNode) const {
+        std::vector<util::NodeId> out;
+        grid.query_cells(center, radius, out, exclude);
+        std::erase_if(out, [&](util::NodeId id) {
+            if (grid.metric() == Metric::kTorus) {
+                const double d = torus_distance(center, pos_[id], grid.side());
+                return d * d > radius * radius;
+            }
+            return !in_range(center, pos_[id], radius);
+        });
+        return out;
+    }
+
+    SpatialGrid grid;
+
+private:
+    Vec2& slot(util::NodeId id) {
+        if (pos_.size() <= id) {
+            pos_.resize(id + 1);
+        }
+        return pos_[id];
+    }
+    std::vector<Vec2> pos_;
+};
 
 std::vector<util::NodeId> brute_force(const std::vector<Vec2>& pts,
                                       Vec2 center, double radius,
@@ -47,23 +82,23 @@ TEST(SpatialGrid, RejectsBadParams) {
 }
 
 TEST(SpatialGrid, InsertQueryRemove) {
-    SpatialGrid grid(100.0, 10.0);
-    grid.insert(0, {5.0, 5.0});
-    grid.insert(1, {8.0, 5.0});
-    grid.insert(2, {50.0, 50.0});
-    EXPECT_EQ(grid.size(), 3u);
+    Placed placed(100.0, 10.0);
+    placed.insert(0, {5.0, 5.0});
+    placed.insert(1, {8.0, 5.0});
+    placed.insert(2, {50.0, 50.0});
+    EXPECT_EQ(placed.grid.size(), 3u);
 
-    auto near = query(grid, {5.0, 5.0}, 5.0);
+    auto near = placed.query({5.0, 5.0}, 5.0);
     std::sort(near.begin(), near.end());
     EXPECT_EQ(near, (std::vector<util::NodeId>{0, 1}));
 
-    near = query(grid, {5.0, 5.0}, 5.0, /*exclude=*/0);
+    near = placed.query({5.0, 5.0}, 5.0, /*exclude=*/0);
     EXPECT_EQ(near, (std::vector<util::NodeId>{1}));
 
-    grid.remove(1);
-    EXPECT_EQ(grid.size(), 2u);
-    EXPECT_FALSE(grid.contains(1));
-    near = query(grid, {5.0, 5.0}, 5.0);
+    placed.remove(1);
+    EXPECT_EQ(placed.grid.size(), 2u);
+    EXPECT_FALSE(placed.grid.contains(1));
+    near = placed.query({5.0, 5.0}, 5.0);
     EXPECT_EQ(near, (std::vector<util::NodeId>{0}));
 }
 
@@ -76,32 +111,34 @@ TEST(SpatialGrid, DoubleInsertThrows) {
 TEST(SpatialGrid, RemoveMissingThrows) {
     SpatialGrid grid(10.0, 1.0);
     EXPECT_THROW(grid.remove(0), std::logic_error);
-    EXPECT_THROW(grid.position(0), std::logic_error);
     EXPECT_THROW(grid.move(0, {1.0, 1.0}), std::logic_error);
 }
 
 TEST(SpatialGrid, MoveAcrossCells) {
-    SpatialGrid grid(100.0, 10.0);
-    grid.insert(0, {5.0, 5.0});
-    grid.move(0, {95.0, 95.0});
-    EXPECT_EQ(grid.position(0).x, 95.0);
-    EXPECT_TRUE(query(grid, {5.0, 5.0}, 8.0).empty());
-    EXPECT_EQ(query(grid, {95.0, 95.0}, 8.0).size(), 1u);
+    Placed placed(100.0, 10.0);
+    placed.insert(0, {5.0, 5.0});
+    placed.move(0, {95.0, 95.0});
+    std::vector<util::NodeId> cells;
+    placed.grid.query_cells({5.0, 5.0}, 8.0, cells);
+    EXPECT_TRUE(cells.empty());
+    placed.grid.query_cells({95.0, 95.0}, 8.0, cells);
+    EXPECT_EQ(cells, (std::vector<util::NodeId>{0}));
+    EXPECT_EQ(placed.query({95.0, 95.0}, 8.0).size(), 1u);
 }
 
 TEST(SpatialGrid, QueryMatchesBruteForcePlane) {
     util::Rng rng(99);
     const double side = 200.0;
-    SpatialGrid grid(side, 25.0);
+    Placed placed(side, 25.0);
     std::vector<Vec2> pts;
     for (util::NodeId i = 0; i < 300; ++i) {
         pts.push_back({rng.uniform(0.0, side), rng.uniform(0.0, side)});
-        grid.insert(i, pts.back());
+        placed.insert(i, pts.back());
     }
     for (int trial = 0; trial < 50; ++trial) {
         const Vec2 center{rng.uniform(0.0, side), rng.uniform(0.0, side)};
         const double radius = rng.uniform(1.0, 60.0);
-        auto got = query(grid, center, radius);
+        auto got = placed.query(center, radius);
         auto want = brute_force(pts, center, radius, util::kInvalidNode,
                                 Metric::kPlane, side);
         std::sort(got.begin(), got.end());
@@ -113,16 +150,16 @@ TEST(SpatialGrid, QueryMatchesBruteForcePlane) {
 TEST(SpatialGrid, QueryMatchesBruteForceTorus) {
     util::Rng rng(7);
     const double side = 100.0;
-    SpatialGrid grid(side, 20.0, Metric::kTorus);
+    Placed placed(side, 20.0, Metric::kTorus);
     std::vector<Vec2> pts;
     for (util::NodeId i = 0; i < 200; ++i) {
         pts.push_back({rng.uniform(0.0, side), rng.uniform(0.0, side)});
-        grid.insert(i, pts.back());
+        placed.insert(i, pts.back());
     }
     for (int trial = 0; trial < 50; ++trial) {
         const Vec2 center{rng.uniform(0.0, side), rng.uniform(0.0, side)};
         const double radius = rng.uniform(1.0, 45.0);
-        auto got = query(grid, center, radius);
+        auto got = placed.query(center, radius);
         auto want = brute_force(pts, center, radius, util::kInvalidNode,
                                 Metric::kTorus, side);
         std::sort(got.begin(), got.end());
@@ -132,63 +169,60 @@ TEST(SpatialGrid, QueryMatchesBruteForceTorus) {
 }
 
 TEST(SpatialGrid, TorusWrapsAcrossBoundary) {
-    SpatialGrid grid(100.0, 10.0, Metric::kTorus);
-    grid.insert(0, {1.0, 50.0});
-    grid.insert(1, {99.0, 50.0});
-    const auto near = query(grid, {1.0, 50.0}, 5.0, 0);
+    Placed placed(100.0, 10.0, Metric::kTorus);
+    placed.insert(0, {1.0, 50.0});
+    placed.insert(1, {99.0, 50.0});
+    const auto near = placed.query({1.0, 50.0}, 5.0, 0);
     EXPECT_EQ(near, (std::vector<util::NodeId>{1}));
 }
 
 TEST(SpatialGrid, SparseIdsSupported) {
-    SpatialGrid grid(10.0, 1.0);
-    grid.insert(1000, {5.0, 5.0});
-    EXPECT_TRUE(grid.contains(1000));
-    EXPECT_FALSE(grid.contains(999));
-    EXPECT_EQ(query(grid, {5.0, 5.0}, 1.0).front(), 1000u);
+    Placed placed(10.0, 1.0);
+    placed.insert(1000, {5.0, 5.0});
+    EXPECT_TRUE(placed.grid.contains(1000));
+    EXPECT_FALSE(placed.grid.contains(999));
+    EXPECT_EQ(placed.query({5.0, 5.0}, 1.0).front(), 1000u);
 }
 
 TEST(SpatialGridMove, SameCellUpdatesPositionWithoutCrossing) {
-    SpatialGrid grid(100.0, 10.0);
-    grid.insert(0, {5.0, 5.0});
-    grid.move(0, {9.0, 9.0});  // stays inside cell (0,0)
-    EXPECT_EQ(grid.position(0).x, 9.0);
-    EXPECT_EQ(grid.position(0).y, 9.0);
-    EXPECT_EQ(grid.stats().grid_moves, 1u);
-    EXPECT_EQ(grid.stats().grid_cell_crossings, 0u);
-    // The updated position — not the insert-time one — must drive both
-    // the distance test and the bucket lookup.
-    EXPECT_EQ(query(grid, {9.5, 9.5}, 1.0).size(), 1u);
-    EXPECT_TRUE(query(grid, {5.0, 5.0}, 1.0).empty());
+    Placed placed(100.0, 10.0);
+    placed.insert(0, {5.0, 5.0});
+    placed.move(0, {9.0, 9.0});  // stays inside cell (0,0)
+    EXPECT_EQ(placed.grid.stats().grid_moves, 1u);
+    EXPECT_EQ(placed.grid.stats().grid_cell_crossings, 0u);
+    // The cell still holds the node, and the caller's updated position —
+    // not the insert-time one — decides the range test.
+    EXPECT_EQ(placed.query({9.5, 9.5}, 1.0).size(), 1u);
+    EXPECT_TRUE(placed.query({5.0, 5.0}, 1.0).empty());
 }
 
 TEST(SpatialGridMove, CellBoundaryCrossings) {
-    SpatialGrid grid(100.0, 10.0);
-    grid.insert(0, {9.999, 5.0});
+    Placed placed(100.0, 10.0);
+    placed.insert(0, {9.999, 5.0});
     // Cross the x boundary by a hair: cell (0,0) -> (1,0).
-    grid.move(0, {10.0, 5.0});
-    EXPECT_EQ(grid.stats().grid_cell_crossings, 1u);
-    EXPECT_EQ(query(grid, {10.5, 5.0}, 1.0).size(), 1u);
+    placed.move(0, {10.0, 5.0});
+    EXPECT_EQ(placed.grid.stats().grid_cell_crossings, 1u);
+    EXPECT_EQ(placed.query({10.5, 5.0}, 1.0).size(), 1u);
     // Exactly on the boundary going back below it.
-    grid.move(0, {9.999, 5.0});
-    EXPECT_EQ(grid.stats().grid_cell_crossings, 2u);
+    placed.move(0, {9.999, 5.0});
+    EXPECT_EQ(placed.grid.stats().grid_cell_crossings, 2u);
     // Diagonal crossing (both axes at once).
-    grid.move(0, {15.0, 15.0});
-    EXPECT_EQ(grid.stats().grid_cell_crossings, 3u);
-    EXPECT_EQ(grid.stats().grid_moves, 3u);
-    EXPECT_EQ(query(grid, {15.0, 15.0}, 1.0).size(), 1u);
-    EXPECT_EQ(grid.size(), 1u);
+    placed.move(0, {15.0, 15.0});
+    EXPECT_EQ(placed.grid.stats().grid_cell_crossings, 3u);
+    EXPECT_EQ(placed.grid.stats().grid_moves, 3u);
+    EXPECT_EQ(placed.query({15.0, 15.0}, 1.0).size(), 1u);
+    EXPECT_EQ(placed.grid.size(), 1u);
 }
 
 TEST(SpatialGridMove, CornerCellsAndClamping) {
-    SpatialGrid grid(100.0, 10.0);
-    grid.insert(0, {50.0, 50.0});
+    Placed placed(100.0, 10.0);
+    placed.insert(0, {50.0, 50.0});
     // All four corners, including the far corner where side/cell lands
     // exactly on the last cell boundary (x=100 clamps to index 9).
     for (const Vec2 corner : {Vec2{0.0, 0.0}, Vec2{100.0, 0.0},
                               Vec2{0.0, 100.0}, Vec2{100.0, 100.0}}) {
-        grid.move(0, corner);
-        EXPECT_EQ(grid.position(0).x, corner.x);
-        const auto near = query(grid, corner, 0.5);
+        placed.move(0, corner);
+        const auto near = placed.query(corner, 0.5);
         ASSERT_EQ(near.size(), 1u) << "corner " << corner.x << ","
                                    << corner.y;
         EXPECT_EQ(near.front(), 0u);
@@ -196,31 +230,31 @@ TEST(SpatialGridMove, CornerCellsAndClamping) {
     // Slightly out-of-range coordinates clamp into the edge cells rather
     // than indexing out of bounds (mobility integration can overshoot by
     // an epsilon before the waypoint model reflects).
-    grid.move(0, {-0.25, 100.25});
-    EXPECT_EQ(query(grid, {0.0, 100.0}, 1.0).size(), 1u);
-    EXPECT_EQ(grid.size(), 1u);
+    placed.move(0, {-0.25, 100.25});
+    EXPECT_EQ(placed.query({0.0, 100.0}, 1.0).size(), 1u);
+    EXPECT_EQ(placed.grid.size(), 1u);
 }
 
 TEST(SpatialGridMove, SwapRemoveKeepsCohabitantsConsistent) {
     // Three nodes in one cell; moving the middle one out exercises the
     // swap-remove slot fixup, then moving it back appends it after the
     // survivor whose slot changed.
-    SpatialGrid grid(100.0, 10.0);
-    grid.insert(10, {1.0, 1.0});
-    grid.insert(11, {2.0, 2.0});
-    grid.insert(12, {3.0, 3.0});
-    grid.move(11, {55.0, 55.0});
-    auto near = query(grid, {2.0, 2.0}, 5.0);
+    Placed placed(100.0, 10.0);
+    placed.insert(10, {1.0, 1.0});
+    placed.insert(11, {2.0, 2.0});
+    placed.insert(12, {3.0, 3.0});
+    placed.move(11, {55.0, 55.0});
+    auto near = placed.query({2.0, 2.0}, 5.0);
     std::sort(near.begin(), near.end());
     EXPECT_EQ(near, (std::vector<util::NodeId>{10, 12}));
-    grid.move(11, {2.0, 2.0});
-    near = query(grid, {2.0, 2.0}, 5.0);
+    placed.move(11, {2.0, 2.0});
+    near = placed.query({2.0, 2.0}, 5.0);
     std::sort(near.begin(), near.end());
     EXPECT_EQ(near, (std::vector<util::NodeId>{10, 11, 12}));
     // And removing the node whose slot was fixed up must still unlink
     // cleanly (regression guard for stale Entry::slot).
-    grid.remove(12);
-    near = query(grid, {2.0, 2.0}, 5.0);
+    placed.remove(12);
+    near = placed.query({2.0, 2.0}, 5.0);
     std::sort(near.begin(), near.end());
     EXPECT_EQ(near, (std::vector<util::NodeId>{10, 11}));
 }
@@ -230,11 +264,11 @@ TEST(SpatialGridMove, RandomWalkMatchesBruteForce) {
     // steps each; after every batch the grid must agree with brute force.
     util::Rng rng(1234);
     const double side = 120.0;
-    SpatialGrid grid(side, 15.0);
+    Placed placed(side, 15.0);
     std::vector<Vec2> pts;
     for (util::NodeId i = 0; i < 60; ++i) {
         pts.push_back({rng.uniform(0.0, side), rng.uniform(0.0, side)});
-        grid.insert(i, pts.back());
+        placed.insert(i, pts.back());
     }
     for (int round = 0; round < 200; ++round) {
         for (util::NodeId i = 0; i < 60; ++i) {
@@ -242,20 +276,20 @@ TEST(SpatialGridMove, RandomWalkMatchesBruteForce) {
             p.x = std::clamp(p.x + rng.uniform(-20.0, 20.0), 0.0, side);
             p.y = std::clamp(p.y + rng.uniform(-20.0, 20.0), 0.0, side);
             pts[i] = p;
-            grid.move(i, p);
+            placed.move(i, p);
         }
         const Vec2 center{rng.uniform(0.0, side), rng.uniform(0.0, side)};
         const double radius = rng.uniform(1.0, 30.0);
-        auto got = query(grid, center, radius);
+        auto got = placed.query(center, radius);
         auto want = brute_force(pts, center, radius, util::kInvalidNode,
                                 Metric::kPlane, side);
         std::sort(got.begin(), got.end());
         std::sort(want.begin(), want.end());
         ASSERT_EQ(got, want) << "round " << round;
     }
-    EXPECT_EQ(grid.stats().grid_moves, 60u * 200u);
-    EXPECT_GT(grid.stats().grid_cell_crossings, 0u);
-    EXPECT_LT(grid.stats().grid_cell_crossings, 60u * 200u);
+    EXPECT_EQ(placed.grid.stats().grid_moves, 60u * 200u);
+    EXPECT_GT(placed.grid.stats().grid_cell_crossings, 0u);
+    EXPECT_LT(placed.grid.stats().grid_cell_crossings, 60u * 200u);
 }
 
 TEST(Vec2, Arithmetic) {
